@@ -8,11 +8,16 @@ sizes (several times slower) for tighter curves.
 
 from __future__ import annotations
 
+import json
 import os
+import pathlib
 import platform
 
 import numpy as np
 import pytest
+
+#: The repo-root perf record every throughput benchmark merges its rows into.
+BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
 
 #: Scaled-down defaults (samples, epochs) used by the training benchmarks.
 SMALL_SCALE = {
@@ -52,3 +57,37 @@ def host_metadata() -> dict:
         "numpy": np.__version__,
         "platform": platform.platform(),
     }
+
+
+@pytest.fixture(scope="module", autouse=True)
+def bench_recorder(request, host_metadata):
+    """Merge the module's ``RESULTS`` rows into ``BENCH_throughput.json``.
+
+    A benchmark module opts in by declaring a module-level ``RESULTS``
+    dict.  After the module runs, each row that is a dict is stamped with
+    the host metadata and merged into the file: read-update-write, so a
+    partial run (``-k`` subset, or an aborted ``-x`` session) refreshes only
+    the rows it measured and the rest of the perf record survives.  An
+    unreadable file raises instead of being replaced, and the write goes
+    through a temporary file and ``os.replace``, so a crash mid-write never
+    leaves a truncated record.
+    """
+    yield
+    results = getattr(request.module, "RESULTS", None)
+    if not results:
+        return
+    for key, row in results.items():
+        if isinstance(row, dict) and key != "unit":
+            row.setdefault("host", host_metadata)
+    merged: dict = {}
+    if BENCH_JSON_PATH.exists():
+        try:
+            merged = json.loads(BENCH_JSON_PATH.read_text())
+        except json.JSONDecodeError as error:
+            raise RuntimeError(
+                f"{BENCH_JSON_PATH} is not valid JSON ({error}); refusing to "
+                "overwrite the other benchmark modules' rows") from error
+    merged.update(results)
+    temporary = BENCH_JSON_PATH.with_name(BENCH_JSON_PATH.name + ".tmp")
+    temporary.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    os.replace(temporary, BENCH_JSON_PATH)

@@ -29,9 +29,7 @@ and scan mode), so the perf trajectory is machine-readable across PRs.
 from __future__ import annotations
 
 import gc
-import json
 import os
-import pathlib
 import time
 import tracemalloc
 
@@ -55,39 +53,15 @@ DTYPES = ("float64", "float32")
 NUM_SAMPLES = 32
 EPOCHS = 2
 
-BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
-
 #: Accumulated measurements, dumped to ``BENCH_throughput.json`` after the
 #: module runs.  Keys are stringified so the JSON round-trips cleanly.
-RESULTS: dict = {"scan_mode_default": "compiled"}
+RESULTS: dict = {"scan_mode_default": "compiled",
+                 "unit": {"throughput": "trained samples per second",
+                          "peak_memory": "tracemalloc peak bytes"}}
 
 
 def _resolved_dtype_name(dtype) -> str:
     return np.dtype(dtype).name if dtype is not None else get_default_dtype().name
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json(host_metadata):
-    """Merge every measurement this module produced into the repo-root JSON.
-
-    Read-update-write rather than overwrite, so a partial run (``-k`` subset,
-    or an aborted ``-x`` session) refreshes only the sections it actually
-    measured and the rest of the perf record survives.
-    """
-    yield
-    RESULTS["unit"] = {"throughput": "trained samples per second",
-                       "peak_memory": "tracemalloc peak bytes"}
-    for key, row in RESULTS.items():
-        if isinstance(row, dict) and key != "unit":
-            row.setdefault("host", host_metadata)
-    merged: dict = {}
-    if BENCH_JSON_PATH.exists():
-        try:
-            merged = json.loads(BENCH_JSON_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged.update(RESULTS)
-    BENCH_JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="module")

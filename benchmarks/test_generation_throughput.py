@@ -19,7 +19,6 @@ which job, seed paths and configs produced the benchmarked samples.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import shutil
@@ -29,31 +28,12 @@ import pytest
 
 from repro.datasets.factory import DatasetJobSpec, run_job
 
-BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
 CATALOG_COPY_PATH = (pathlib.Path(__file__).resolve().parents[1]
                      / "BENCH_generation_catalog.json")
 
 SCALING_BAR = 1.2
 
 RESULTS: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json(host_metadata):
-    """Merge this module's rows into the repo-root JSON (read-update-write,
-    like the other throughput benchmarks, so partial runs keep other rows)."""
-    yield
-    for key, row in RESULTS.items():
-        if isinstance(row, dict) and key != "unit":
-            row.setdefault("host", host_metadata)
-    merged: dict = {}
-    if BENCH_JSON_PATH.exists():
-        try:
-            merged = json.loads(BENCH_JSON_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged.update(RESULTS)
-    BENCH_JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
 def _bench_spec() -> DatasetJobSpec:

@@ -54,24 +54,6 @@ SOFT_REGRESSION_TOLERANCE = 0.10
 RESULTS: dict = {}
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json(host_metadata):
-    """Merge this module's rows into the repo-root JSON (read-update-write,
-    like the other throughput benchmarks, so partial runs keep other rows)."""
-    yield
-    for key, row in RESULTS.items():
-        if isinstance(row, dict) and key != "unit":
-            row.setdefault("host", host_metadata)
-    merged: dict = {}
-    if BENCH_JSON_PATH.exists():
-        try:
-            merged = json.loads(BENCH_JSON_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged.update(RESULTS)
-    BENCH_JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
 @pytest.fixture(scope="module")
 def reference_batch():
     """The 1104-path merged batch (two GEANT2 scenarios) of the scan benches."""

@@ -161,11 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "step averages the gradients of up to this many "
                             "batches (path-weighted) computed on model "
                             "replicas; 1 keeps the serial loop")
-    train.add_argument("--overlap", action="store_true",
-                       help="with --num-workers > 1: double-buffered parameter "
-                            "broadcast — the parent submits the next group and "
-                            "runs its optimiser/validation/checkpoint work "
-                            "while the workers compute (bit-identical results)")
     train.add_argument("--task-timeout", type=float, default=None,
                        help="with --num-workers > 1: seconds a gradient worker "
                             "may spend on one task before it is presumed hung "
@@ -224,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig2.add_argument("--num-workers", type=int, default=1,
                       help="data-parallel worker processes per training run "
                            "(see 'train --num-workers')")
-    fig2.add_argument("--overlap", action="store_true",
-                      help="pipeline the optimiser step with the next group's "
-                           "worker compute (see 'train --overlap')")
     fig2.add_argument("--state-dim", type=int, default=16)
     fig2.add_argument("--seed", type=int, default=0)
 
@@ -344,7 +336,7 @@ def _command_train(args: argparse.Namespace) -> int:
         TrainerConfig(epochs=args.epochs, learning_rate=args.learning_rate,
                       batch_size=args.batch_size, dtype=args.dtype,
                       bucket_by_length=args.bucket_by_length,
-                      num_workers=args.num_workers, overlap=args.overlap,
+                      num_workers=args.num_workers,
                       task_timeout=args.task_timeout,
                       prefetch_depth=args.prefetch_depth if streaming else 2,
                       seed=args.seed),
@@ -411,7 +403,6 @@ def _command_fig2(args: argparse.Namespace) -> int:
         scan_mode=args.scan_mode,
         bucket_by_length=args.bucket_by_length,
         num_workers=args.num_workers,
-        overlap=args.overlap,
         seed=args.seed,
     )
     print(result.report())

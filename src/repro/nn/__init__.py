@@ -10,8 +10,8 @@ TensorFlow/PyTorch (which are not available offline).  It provides:
   Extended RouteNet architectures (dense layers, GRU/LSTM cells).
 * Optimisers (:mod:`repro.nn.optimizers`), losses (:mod:`repro.nn.losses`)
   and evaluation metrics (:mod:`repro.nn.metrics`).
-* A :class:`repro.nn.training.Trainer` with callbacks, early stopping and
-  training history, and parameter (de)serialisation helpers.
+* Training history and early stopping (:mod:`repro.nn.training`), and
+  parameter (de)serialisation helpers.
 
 The API intentionally mirrors the shape of mainstream frameworks so that the
 model code in :mod:`repro.models` reads like the reference TensorFlow
@@ -77,7 +77,7 @@ from repro.nn.parallel import (
     path_weighted_average,
 )
 from repro.nn.serialization import load_parameters, save_parameters
-from repro.nn.training import EarlyStopping, History, Trainer, TrainingConfig
+from repro.nn.training import EarlyStopping, History
 
 __all__ = [
     "Tensor",
@@ -131,8 +131,6 @@ __all__ = [
     "path_weighted_average",
     "save_parameters",
     "load_parameters",
-    "Trainer",
-    "TrainingConfig",
     "EarlyStopping",
     "History",
 ]

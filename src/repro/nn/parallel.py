@@ -25,22 +25,16 @@ the members: :class:`SerialGradientExecutor` executes the identical
 semantics in-process, and the equivalence tests hold the two engines to
 bit-identical parameter trajectories.
 
-Double-buffered parameter broadcast
------------------------------------
-Parameters travel through a shared-memory ring of **two** flat buffers
-allocated at pool start: per group the parent writes the current parameter
-vector into the next slot (one memcpy, instead of pickling the vector once
-per worker through a pipe) and each step message carries only the slot
-index plus a batch reference.  Two slots mean the broadcast for group
-``k+1`` never overwrites the buffer group ``k`` was read from, so the
-parent may publish new parameters the moment its optimiser step finishes —
-the mechanism behind the trainer's ``overlap`` mode, where the parent
-submits the next group (:meth:`GradientWorkerPool.submit_group`) and only
-then does its per-epoch bookkeeping, validation pass and checkpoint write
-while the workers are already computing (:meth:`collect_group` picks the
-results up later).  Overlap never changes *what* is computed — submitted
-parameters are always the fully-updated post-step vector — so overlapped
-and non-overlapped runs are bit-identical.
+Shared-memory parameter broadcast
+---------------------------------
+Parameters travel through **one** flat shared-memory buffer allocated at
+pool start: per group the parent writes the current parameter vector into
+it (one memcpy, instead of pickling the vector once per worker through a
+pipe) and each step message carries only a batch reference.  One buffer is
+enough because at most one group is in flight: every worker copies the
+parameters into its replica before it replies, and the parent writes the
+buffer again only after :meth:`GradientWorkerPool.collect_group` has every
+reply of the previous group.
 
 Batches reach workers one of two ways: :meth:`set_batches` uploads a list
 once and steps reference batches by index (the in-memory trainer, whose
@@ -53,12 +47,12 @@ Fault tolerance
 The pool supervises its workers (see :mod:`repro.supervision`): a worker
 that dies or exceeds its per-task timeout is reaped and an identical
 replacement is spawned from the same pickled payload and shared parameter
-ring, the batch cache is re-uploaded, and every message the dead worker
-had not answered is re-sent in order.  Because the parameter slot an
-in-flight group reads from is never overwritten while that group is
-uncollected (the ring has two slots and at most one group is in flight),
-the replacement recomputes exactly the same gradients — a recovered run
-is **bit-identical** to a fault-free one.  Respawns draw on a bounded
+buffer, the batch cache is re-uploaded, and every message the dead worker
+had not answered is re-sent in order.  Recovery happens inside
+:meth:`collect_group`, before the group is complete, so the parameter
+buffer still holds the group's parameters and the replacement recomputes
+exactly the same gradients — a recovered run is **bit-identical** to a
+fault-free one.  Respawns draw on a bounded
 restart budget so a crash-looping farm fails loudly instead of spinning.
 Ordinary in-task exceptions are *not* retried: they re-raise the worker's
 traceback in the parent, exactly as before (a deterministic Python error
@@ -153,10 +147,10 @@ def _worker_main(conn, rank: int, payload: bytes, param_buffer,
 
     Protocol (parent → worker):
       ``("batches", [TensorizedSample, ...])``  replace the cached shard;
-      ``("step", slot, batch_index)``           read the parameters from
-                                                shared-memory ``slot``,
-                                                compute on a cached batch;
-      ``("step_payload", slot, batch)``         same, on a shipped batch;
+      ``("step", batch_index)``                 read the parameters from the
+                                                shared buffer, compute on a
+                                                cached batch;
+      ``("step_payload", batch)``               same, on a shipped batch;
       ``("close",)``                            exit.
     Replies: ``("ok", ...)`` or ``("error", traceback_string)``.
     """
@@ -167,16 +161,9 @@ def _worker_main(conn, rank: int, payload: bytes, param_buffer,
         conn.close()
         return
     conn.send(("ok",))
-    item_size = np.dtype(param_dtype).itemsize
-
-    def load_params(slot: int) -> None:
-        # A read-only view into the shared slot; load_parameters_vector
-        # copies per parameter, so nothing in the model aliases the buffer
-        # once this returns (the parent is free to rewrite the other slot).
-        view = np.frombuffer(param_buffer, dtype=param_dtype, count=param_count,
-                             offset=slot * param_count * item_size)
-        model.load_parameters_vector(view)
-
+    # A view into the shared buffer; load_parameters_vector copies per
+    # parameter, so nothing in the model aliases the buffer afterwards.
+    params = np.frombuffer(param_buffer, dtype=param_dtype, count=param_count)
     batches: list = []
     steps_handled = 0
     try:
@@ -188,11 +175,11 @@ def _worker_main(conn, rank: int, payload: bytes, param_buffer,
                 conn.send(("ok", len(batches)))
             elif kind in ("step", "step_payload"):
                 try:
-                    _, slot, work = message
+                    _, work = message
                     fault_point("pool.step.start", rank=rank,
                                 step=steps_handled)
                     steps_handled += 1
-                    load_params(slot)
+                    model.load_parameters_vector(params)
                     batch = batches[work] if kind == "step" else work
                     result = _compute_gradient(model, batch, loss_name)
                     conn.send(("ok",) + result)
@@ -217,8 +204,7 @@ class _ExecutorBase:
     Both engines expose the same two-phase interface: :meth:`submit_group`
     / :meth:`submit_group_payload` hand a group of work out (at most one
     group in flight), :meth:`collect_group` returns its results.  The
-    one-shot :meth:`run_group` / :meth:`run_group_payload` wrappers keep
-    the original synchronous call style.
+    one-shot :meth:`run_group` wrapper submits and collects in one call.
     """
 
     def __init__(self) -> None:
@@ -263,12 +249,6 @@ class _ExecutorBase:
         self.submit_group(flat_params, indices)
         return self.collect_group()
 
-    def run_group_payload(self, flat_params: np.ndarray,
-                          batches: Sequence) -> List[GradientResult]:
-        """Synchronous submit + collect over shipped batches."""
-        self.submit_group_payload(flat_params, batches)
-        return self.collect_group()
-
     def close(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -286,9 +266,7 @@ class SerialGradientExecutor(_ExecutorBase):
     no processes, no IPC — so ``num_workers > 1`` training can be executed
     (and debugged, and tested for bit-exact equivalence) on a single core.
     ``submit_group`` merely records the work; the compute happens at
-    :meth:`collect_group`, which makes the engine a semantics twin of the
-    pool under the trainer's overlap mode too (no wall-clock overlap, same
-    parameter trajectory).
+    :meth:`collect_group`.
     """
 
     def __init__(self, model: Module, num_workers: int = 1, loss: str = "mse") -> None:
@@ -390,14 +368,12 @@ class GradientWorkerPool(_ExecutorBase):
             start_method = "fork" if "fork" in available else "spawn"
         self._context = mp.get_context(start_method)
         self._payload = pickle.dumps((model, loss))
-        # The double-buffered broadcast ring: two flat parameter slots in
-        # shared memory, written alternately (see the module docstring).
+        # The parameter broadcast buffer (see the module docstring).
         template = model.parameters_vector()
         self._param_dtype = template.dtype
         self._param_count = int(template.size)
-        slot_bytes = max(1, self._param_count * self._param_dtype.itemsize)
-        self._param_buffer = self._context.RawArray("b", 2 * slot_bytes)
-        self._next_slot = 0
+        self._param_buffer = self._context.RawArray(
+            "b", max(1, self._param_count * self._param_dtype.itemsize))
         #: Messages sent to each worker whose reply has not yet arrived,
         #: in send order — exactly what must be re-dispatched after a
         #: respawn ("batches" uploads are re-sent from _last_batches
@@ -441,11 +417,11 @@ class GradientWorkerPool(_ExecutorBase):
         """Replace a dead/hung worker and re-dispatch its unanswered work.
 
         The replacement is started from the same pickled payload and the
-        same shared parameter ring; the batch cache is re-uploaded and the
+        same shared parameter buffer; the batch cache is re-uploaded and the
         rank's outstanding messages are re-sent in their original order —
-        and since the ring slot those messages reference is never rewritten
-        while their group is in flight, the recomputed gradients are
-        bit-identical to what the dead worker would have produced.
+        and since the buffer is never rewritten while their group is in
+        flight, the recomputed gradients are bit-identical to what the dead
+        worker would have produced.
         """
         worker = self._workers[rank]
         while True:
@@ -532,34 +508,25 @@ class GradientWorkerPool(_ExecutorBase):
                     f"gradient worker {rank} rejected its batch upload:\n"
                     f"{reply[1]}")
 
-    def _publish_params(self, flat_params: np.ndarray) -> int:
-        """Write the parameter vector into the next ring slot; return it."""
+    def _submit(self, flat_params: np.ndarray, kind: str, members: list) -> None:
+        self._check_idle()
         flat = np.asarray(flat_params, dtype=self._param_dtype).reshape(-1)
         if flat.size != self._param_count:
             raise ValueError(
                 f"expected a flat vector of {self._param_count} parameters, "
                 f"got {flat.size}")
-        slot = self._next_slot
-        self._next_slot = 1 - slot
-        view = np.frombuffer(self._param_buffer, dtype=self._param_dtype,
-                             count=self._param_count,
-                             offset=slot * self._param_count * self._param_dtype.itemsize)
-        view[:] = flat
-        return slot
-
-    def _submit(self, flat_params: np.ndarray, kind: str, members: list) -> None:
-        self._check_idle()
-        slot = self._publish_params(flat_params)
+        np.frombuffer(self._param_buffer, dtype=self._param_dtype,
+                      count=self._param_count)[:] = flat
         for position, member in enumerate(members):
-            self._send_tracked(position % self.num_workers, (kind, slot, member))
+            self._send_tracked(position % self.num_workers, (kind, member))
         self._in_flight = len(members)
 
     def submit_group(self, flat_params: np.ndarray,
                      indices: Sequence[int]) -> None:
         """Dispatch a group of cached-batch indices (round-robin) and return
         immediately; :meth:`collect_group` gathers the gradients.  The
-        parameters are published to the shared ring *now*, so the caller may
-        keep mutating its own model afterwards."""
+        parameters are published to the shared buffer *now*, so the caller
+        may keep mutating its own model afterwards."""
         self._submit(flat_params, "step", [int(i) for i in indices])
 
     def submit_group_payload(self, flat_params: np.ndarray,

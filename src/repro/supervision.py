@@ -22,7 +22,7 @@ out the machinery both farms need to *survive* those faults:
 
 Determinism note: supervision never changes *what* is computed.  Both
 farms re-dispatch exactly the work the dead worker held — the gradient
-pool re-broadcasts the same parameter slot and batch, the factory
+pool re-sends the step against the same shared parameters, the factory
 re-queues the unit whose RNG stream is a pure function of its index — so
 a recovered run is bit-identical to a fault-free one.
 """

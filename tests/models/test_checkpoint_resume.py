@@ -9,6 +9,7 @@ freshly zeroed moments — quietly wrong updates.  A full trainer checkpoint
 produce bit-identical parameters and the same recorded history.
 """
 
+import json
 import os
 
 import numpy as np
@@ -40,23 +41,57 @@ def _trainer(epochs: int, **overrides) -> RouteNetTrainer:
     return RouteNetTrainer(ExtendedRouteNet(_model_config()), TrainerConfig(**config))
 
 
-@pytest.mark.parametrize("batch_size", [1, 2])
-def test_resume_is_bit_exact(samples, tmp_path, batch_size):
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(batch_size=1), id="1"),
+    pytest.param(dict(batch_size=2), id="2"),
+    pytest.param(dict(batch_size=2, num_workers=2, parallel_backend="serial"),
+                 id="2-workers2"),
+])
+def test_resume_is_bit_exact(samples, tmp_path, overrides):
     """Straight N epochs == k epochs + checkpoint + reload + (N - k) epochs."""
-    straight = _trainer(TOTAL_EPOCHS, batch_size=batch_size)
+    straight = _trainer(TOTAL_EPOCHS, **overrides)
     straight.fit(samples)
 
-    first_leg = _trainer(SPLIT_EPOCHS, batch_size=batch_size)
+    first_leg = _trainer(SPLIT_EPOCHS, **overrides)
     first_leg.fit(samples)
     path = first_leg.save_checkpoint(str(tmp_path / "ckpt"))
 
-    second_leg = _trainer(TOTAL_EPOCHS - SPLIT_EPOCHS, batch_size=batch_size)
+    second_leg = _trainer(TOTAL_EPOCHS - SPLIT_EPOCHS, **overrides)
     second_leg.load_checkpoint(path)
     second_leg.fit(samples)
 
     assert np.array_equal(straight.model.parameters_vector(),
                           second_leg.model.parameters_vector())
     assert second_leg.history.epochs == straight.history.epochs
+    assert second_leg.history.train_loss == straight.history.train_loss
+
+
+def test_checkpoint_with_retired_overlap_field_resumes_bit_exact(samples, tmp_path):
+    """Checkpoints embed the whole TrainerConfig, so ones written while
+    ``TrainerConfig.overlap`` existed carry an ``"overlap": true`` entry.
+    The field is gone; such a checkpoint must still load, and its recorded
+    RNG state must resume the uninterrupted run bit for bit."""
+    overrides = dict(num_workers=2, parallel_backend="serial")
+    straight = _trainer(TOTAL_EPOCHS, **overrides)
+    straight.fit(samples)
+
+    first_leg = _trainer(SPLIT_EPOCHS, **overrides)
+    first_leg.fit(samples)
+    path = first_leg.save_checkpoint(str(tmp_path / "ckpt"))
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    metadata = json.loads(str(arrays["meta.json"]))
+    metadata["trainer_config"]["overlap"] = True
+    arrays["meta.json"] = np.array(json.dumps(metadata, sort_keys=True))
+    np.savez_compressed(path, **arrays)
+
+    second_leg = _trainer(TOTAL_EPOCHS - SPLIT_EPOCHS, **overrides)
+    loaded = second_leg.load_checkpoint(path)
+    assert loaded["trainer_config"]["overlap"] is True
+    second_leg.fit(samples)
+
+    assert np.array_equal(straight.model.parameters_vector(),
+                          second_leg.model.parameters_vector())
     assert second_leg.history.train_loss == straight.history.train_loss
 
 

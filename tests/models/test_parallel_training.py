@@ -1,8 +1,7 @@
 """Data-parallel training equivalence and semantics.
 
 ``num_workers > 1`` training groups batches per optimiser step and
-path-weight-averages their gradients (see
-``RouteNetTrainer.train_step_group``).  The update rule is a function of
+path-weight-averages their gradients (see ``RouteNetTrainer.fit``).  The update rule is a function of
 the group size only, never of the execution engine: the multiprocessing
 worker pool and its in-process serial twin must produce **bit-identical**
 parameter trajectories, in both RNN scan modes.  A group's averaged

@@ -6,9 +6,7 @@ produced by a :class:`~repro.datasets.prefetch.BatchPrefetcher`) must be an
 covering the dataset, a streamed epoch builds exactly the batches the
 in-memory trainer pre-merges and visits them in the same RNG order, so the
 parameter trajectories are **bit-identical** — in both RNN scan modes, under
-both parallel backends and at any prefetch depth.  The same contract holds
-for ``overlap`` mode: double-buffered broadcast pipelines the parent's
-bookkeeping with worker compute but never changes a single update.
+both parallel backends and at any prefetch depth.
 """
 
 import numpy as np
@@ -196,70 +194,22 @@ def test_streaming_checkpoint_resume_bit_exact(samples, normalizer, store,
                           resumed.model.parameters_vector())
 
 
-# ---------------------------------------------------------------------- #
-# Overlap mode: pipelined, but bit-identical
-# ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["serial", "process"])
-def test_overlap_bit_identical(samples, normalizer, backend):
-    plain = _make_trainer(normalizer, epochs=3, num_workers=2,
-                          parallel_backend=backend)
-    plain.fit(samples)
-    overlapped = _make_trainer(normalizer, epochs=3, num_workers=2,
-                               parallel_backend=backend, overlap=True)
-    overlapped.fit(samples)
-    assert plain.history.train_loss == overlapped.history.train_loss
-    assert np.array_equal(plain.model.parameters_vector(),
-                          overlapped.model.parameters_vector())
-
-
-def test_overlap_streaming_bit_identical(samples, normalizer, store):
-    plain = _make_trainer(normalizer, epochs=3, num_workers=2,
-                          parallel_backend="serial")
-    plain.fit(samples)
-    overlapped = _make_trainer(normalizer, epochs=3, num_workers=2,
-                               parallel_backend="serial", overlap=True)
-    overlapped.fit(dataset_path=store)
-    assert np.array_equal(plain.model.parameters_vector(),
-                          overlapped.model.parameters_vector())
-
-
-def test_overlap_checkpoint_resume_bit_exact(samples, normalizer, tmp_path):
-    """The overlap boundary plans epoch k+1 (consuming an RNG draw) before
-    the epoch-k checkpoint is written; the checkpoint must carry the
-    pre-planning RNG state so a resumed run re-draws it."""
-    kwargs = dict(num_workers=2, parallel_backend="serial", overlap=True)
-    full = _make_trainer(normalizer, epochs=4, **kwargs)
-    full.fit(samples)
-    checkpoint = str(tmp_path / "ck")
-    first = _make_trainer(normalizer, epochs=2, **kwargs)
-    first.fit(samples, checkpoint_path=checkpoint)
-    resumed = _make_trainer(normalizer, epochs=2, **kwargs)
-    resumed.load_checkpoint(checkpoint)
-    resumed.fit(samples)
-    assert full.history.train_loss == resumed.history.train_loss
-    assert np.array_equal(full.model.parameters_vector(),
-                          resumed.model.parameters_vector())
-
-
-def test_overlap_early_stopping_discards_inflight_group(samples, normalizer):
-    """When early stopping fires, the pre-submitted next-epoch group must be
-    discarded: the stopped overlapped run matches the non-overlapped one."""
-    kwargs = dict(epochs=6, num_workers=2, parallel_backend="serial",
+def test_grouped_early_stopping_bit_identical_across_backends(samples,
+                                                              normalizer):
+    """Early stopping under grouped (num_workers=2) training stops both
+    engines at the same epoch, before ``epochs``, with identical
+    parameters.  The large learning rate makes the validation loss turn
+    up within a few epochs."""
+    kwargs = dict(epochs=6, learning_rate=0.05, num_workers=2,
                   early_stopping_patience=1)
-    plain = _make_trainer(normalizer, **kwargs)
-    plain.fit(samples, val_samples=samples[:2])
-    overlapped = _make_trainer(normalizer, overlap=True, **kwargs)
-    overlapped.fit(samples, val_samples=samples[:2])
-    assert plain.history.epochs == overlapped.history.epochs
-    assert np.array_equal(plain.model.parameters_vector(),
-                          overlapped.model.parameters_vector())
-
-
-def test_overlap_ignored_without_workers(samples, normalizer):
-    """overlap=True with num_workers=1 is a documented no-op."""
-    trainer = _make_trainer(normalizer, overlap=True)
-    trainer.fit(samples)
-    assert len(trainer.history.epochs) == 2
+    serial = _make_trainer(normalizer, parallel_backend="serial", **kwargs)
+    serial.fit(samples, val_samples=samples[:2])
+    process = _make_trainer(normalizer, parallel_backend="process", **kwargs)
+    process.fit(samples, val_samples=samples[:2])
+    assert len(serial.history.epochs) < kwargs["epochs"]
+    assert serial.history.epochs == process.history.epochs
+    assert np.array_equal(serial.model.parameters_vector(),
+                          process.model.parameters_vector())
 
 
 # ---------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for optimisers, losses, metrics, serialisation and the Trainer."""
+"""Tests for optimisers, losses, metrics, serialisation and training history."""
 
 import os
 
@@ -23,7 +23,7 @@ from repro.nn.optimizers import (
 )
 from repro.nn.serialization import load_checkpoint, load_parameters, save_checkpoint, save_parameters
 from repro.nn.tensor import Tensor
-from repro.nn.training import EarlyStopping, History, Trainer, TrainingConfig
+from repro.nn.training import EarlyStopping, History
 
 RNG = np.random.default_rng(21)
 
@@ -119,6 +119,10 @@ class TestSchedules:
             model.loss().backward()
             optimizer.step()
         assert optimizer.learning_rate < 0.1
+
+    def test_early_stopping_rejects_nonpositive_patience(self):
+        with pytest.raises(ValueError):
+            EarlyStopping(patience=0)
 
     def test_invalid_schedules(self):
         with pytest.raises(ValueError):
@@ -251,88 +255,19 @@ class TestSerialization:
         meta = load_checkpoint(Dense(2, 2), str(tmp_path / "ckpt"))
         assert meta["epoch"] == 7
 
-    def test_state_dict_load_shape_check(self):
-        model = Dense(2, 2)
-        state = model.state_dict()
-        state["weight"] = np.zeros((5, 5))
-        with pytest.raises(ValueError):
-            model.load_state_dict(state)
-
-
-class TestTrainer:
-    @staticmethod
-    def _make_regression(n=48, seed=5):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, 3))
-        y = x @ np.array([[1.0], [-2.0], [0.5]]) + 0.1
-        return [(x[i:i + 8], y[i:i + 8]) for i in range(0, n, 8)]
-
-    @staticmethod
-    def _loss_fn(model, item):
-        x, y = item
-        return nn.mse_loss(model(Tensor(x)), Tensor(y))
-
-    def test_loss_decreases(self):
-        batches = self._make_regression()
-        model = MLP(3, [16], 1, rng=np.random.default_rng(1))
-        trainer = Trainer(model, Adam(model.parameters(), 0.01), self._loss_fn,
-                          TrainingConfig(epochs=30, seed=1))
-        history = trainer.fit(batches)
-        assert history.train_loss[-1] < history.train_loss[0] * 0.2
-
-    def test_validation_recorded(self):
-        batches = self._make_regression()
-        model = MLP(3, [8], 1, rng=np.random.default_rng(2))
-        trainer = Trainer(model, Adam(model.parameters(), 0.01), self._loss_fn,
-                          TrainingConfig(epochs=3))
-        history = trainer.fit(batches[:4], val_items=batches[4:])
-        assert len(history.val_loss) == 3
-        assert history.best_val_loss is not None
-
-    def test_early_stopping_stops(self):
-        batches = self._make_regression()
-        model = MLP(3, [4], 1, rng=np.random.default_rng(3))
-        # Zero learning rate: loss never improves, early stopping must fire.
-        trainer = Trainer(model, SGD(model.parameters(), 1e-12), self._loss_fn,
-                          TrainingConfig(epochs=50))
-        stopper = EarlyStopping(patience=3, min_delta=1e-6)
-        history = trainer.fit(batches, early_stopping=stopper)
-        assert len(history.epochs) <= 6
-        assert stopper.stopped_epoch is not None
-
-    def test_empty_training_set_raises(self):
-        model = MLP(3, [4], 1)
-        trainer = Trainer(model, SGD(model.parameters(), 0.1), self._loss_fn)
-        with pytest.raises(ValueError):
-            trainer.fit([])
-
-    def test_loss_fn_must_return_tensor(self):
-        model = MLP(3, [4], 1)
-        trainer = Trainer(model, SGD(model.parameters(), 0.1), lambda m, item: 1.0)
-        with pytest.raises(TypeError):
-            trainer.train_step((np.zeros((2, 3)), np.zeros((2, 1))))
-
-    def test_gradient_clipping_config(self):
-        batches = self._make_regression(n=16)
-        model = MLP(3, [4], 1, rng=np.random.default_rng(4))
-        trainer = Trainer(model, Adam(model.parameters(), 0.01), self._loss_fn,
-                          TrainingConfig(epochs=2, gradient_clip_norm=0.5))
-        trainer.fit(batches)
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            TrainingConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainingConfig(gradient_clip_norm=-1)
-        with pytest.raises(ValueError):
-            EarlyStopping(patience=0)
-
     def test_history_dict(self):
         history = History()
         history.record(1, 0.5, 0.6, 0.1)
         out = history.as_dict()
         assert out["train_loss"] == [0.5]
         assert out["val_loss"] == [0.6]
+
+    def test_state_dict_load_shape_check(self):
+        model = Dense(2, 2)
+        state = model.state_dict()
+        state["weight"] = np.zeros((5, 5))
+        with pytest.raises(ValueError):
+            model.load_state_dict(state)
 
 
 class TestModuleBasics:
@@ -452,31 +387,3 @@ class TestOptimizerStateDict:
         state["velocity"] = state["velocity"] + [np.zeros(4)]
         with pytest.raises(ValueError, match="buffers"):
             optimizer.load_state_dict(state)
-
-
-class TestEvaluateModeRestore:
-    """Trainer.evaluate must restore the model's prior train/eval mode."""
-
-    @staticmethod
-    def _trainer():
-        model = Dense(2, 1, rng=np.random.default_rng(3))
-        optimizer = SGD(model.parameters(), learning_rate=0.01)
-
-        def loss_fn(m, item):
-            x, y = item
-            return ((m(Tensor(x)) - Tensor(y)) ** 2).sum()
-
-        items = [(np.ones((1, 2)), np.zeros((1, 1)))]
-        return Trainer(model, optimizer, loss_fn), items
-
-    def test_training_model_returns_to_training(self):
-        trainer, items = self._trainer()
-        trainer.model.train()
-        trainer.evaluate(items)
-        assert trainer.model.training
-
-    def test_eval_model_stays_in_eval(self):
-        trainer, items = self._trainer()
-        trainer.model.eval()
-        trainer.evaluate(items)
-        assert not trainer.model.training

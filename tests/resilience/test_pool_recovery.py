@@ -1,7 +1,7 @@
 """Gradient-pool fault recovery.
 
 The acceptance bar: a worker killed or hung mid-run is respawned, its
-in-flight work re-dispatched against the same parameter ring slot and
+in-flight work re-dispatched against the same shared parameters and
 batch, and the recovered run is **bit-identical** to a fault-free one —
 for a single gradient group and for a whole 2-worker training run.  Pool
 start-up failure degrades to the serial backend with a warning instead of
@@ -55,7 +55,7 @@ def test_killed_worker_is_respawned_and_results_are_bit_identical(
         tmp_path, monkeypatch):
     """`pool.step.start` kill of rank 0's first task: the supervisor reaps
     the corpse, respawns it, re-uploads the batch cache and re-sends the
-    step — same ring slot, same batch, bit-identical gradient."""
+    step — same shared parameters, same batch, bit-identical gradient."""
     batches = _toy_batches()
     with SerialGradientExecutor(_toy_model(), num_workers=2) as serial:
         expected = _run_group_results(serial, batches)

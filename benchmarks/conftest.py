@@ -4,6 +4,10 @@ Every benchmark regenerates one experiment of DESIGN.md's experiment index.
 Sizes are scaled down from the paper (400k training samples) so the whole
 suite runs on a laptop CPU; set ``REPRO_BENCH_SCALE=full`` to use larger
 sizes (several times slower) for tighter curves.
+
+Every bar is asserted on every run, but the measured rows are written to
+the tracked ``BENCH_*.json`` files only with ``REPRO_BENCH_RECORD=1``, so a
+plain test run leaves the working tree clean.
 """
 
 from __future__ import annotations
@@ -59,9 +63,16 @@ def host_metadata() -> dict:
     }
 
 
+@pytest.fixture(scope="session")
+def bench_recording() -> bool:
+    """True when ``REPRO_BENCH_RECORD=1``: write the tracked BENCH files."""
+    return os.environ.get("REPRO_BENCH_RECORD") == "1"
+
+
 @pytest.fixture(scope="module", autouse=True)
-def bench_recorder(request, host_metadata):
-    """Merge the module's ``RESULTS`` rows into ``BENCH_throughput.json``.
+def bench_recorder(request, host_metadata, bench_recording):
+    """Merge the module's ``RESULTS`` rows into ``BENCH_throughput.json``
+    (with ``REPRO_BENCH_RECORD=1`` only).
 
     A benchmark module opts in by declaring a module-level ``RESULTS``
     dict.  After the module runs, each row that is a dict is stamped with
@@ -74,7 +85,7 @@ def bench_recorder(request, host_metadata):
     """
     yield
     results = getattr(request.module, "RESULTS", None)
-    if not results:
+    if not results or not bench_recording:
         return
     for key, row in results.items():
         if isinstance(row, dict) and key != "unit":

@@ -12,9 +12,10 @@ asserted on hosts with at least 4 CPUs; on smaller hosts (the committed
 baseline comes from a 1-CPU container) the figures are recorded and a note
 is printed instead — there is nothing to scale onto.
 
-The winning run's ``manifest.json`` — the provenance catalog — is copied to
-the repo root as ``BENCH_generation_catalog.json`` so CI archives exactly
-which job, seed paths and configs produced the benchmarked samples.
+With ``REPRO_BENCH_RECORD=1`` the winning run's ``manifest.json`` — the
+provenance catalog — is copied to the repo root as
+``BENCH_generation_catalog.json`` so CI archives exactly which job, seed
+paths and configs produced the benchmarked samples.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _bench_spec() -> DatasetJobSpec:
     )
 
 
-def test_generation_events_per_sec(tmp_path_factory):
+def test_generation_events_per_sec(tmp_path_factory, bench_recording):
     root = tmp_path_factory.mktemp("generation-bench")
     cpu_count = os.cpu_count() or 1
     worker_counts = [1, 2] + ([4] if cpu_count >= 4 else [])
@@ -74,10 +75,12 @@ def test_generation_events_per_sec(tmp_path_factory):
         "backend": "simulation", "simulation_duration": 0.3,
         "workers": rows,
     }
-    # Archive the catalog that produced these figures (CI artifact).
-    shutil.copyfile(
-        os.path.join(str(root / f"workers{worker_counts[-1]}"), "manifest.json"),
-        CATALOG_COPY_PATH)
+    if bench_recording:
+        # Archive the catalog that produced these figures (CI artifact).
+        shutil.copyfile(
+            os.path.join(str(root / f"workers{worker_counts[-1]}"),
+                         "manifest.json"),
+            CATALOG_COPY_PATH)
 
     print(f"\nfactory generation, 8 simulation-backed samples on ring:6")
     for workers in worker_counts:

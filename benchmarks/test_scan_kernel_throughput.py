@@ -11,12 +11,14 @@ GEANT2 scenarios — and holds the acceptance bar: **≥ 1.3x** train-step
 samples/sec over the interpreted streaming scan at equal dtype.
 
 It also measures the format-3 binary (npz) shard payload against the
-format-2 gzipped-JSONL payload on a full sharded-store read pass — the
-decode work a :class:`~repro.datasets.prefetch.BatchPrefetcher` producer
-performs every streamed epoch.
+format-2 gzipped-JSONL payload (no longer written; the store is laid out
+by ``tests/format2.py``) on a full sharded-store read pass — the decode
+work a :class:`~repro.datasets.prefetch.BatchPrefetcher` producer performs
+every streamed epoch.
 
-Every row lands in ``BENCH_throughput.json``.  The kernel row also carries
-a **soft regression check**: when the committed baseline already holds a
+With ``REPRO_BENCH_RECORD=1`` every row lands in ``BENCH_throughput.json``.
+The kernel row also carries a **soft regression check**: when the
+committed baseline already holds a
 ``scan_kernel_compiled_vs_stream`` row and this run's compiled samples/sec
 drops more than 10% below it, the drop is printed loudly (host metadata
 tells apples from oranges) but the run does not fail — absolute throughput
@@ -44,6 +46,7 @@ from repro.datasets.batching import merge_tensorized_samples
 from repro.datasets.sharded import ShardedDatasetReader
 from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
 from repro.topology import geant2_topology
+from tests.format2 import write_format2_store
 
 BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
 
@@ -154,9 +157,9 @@ def test_binary_shard_read_throughput(tmp_path_factory, bench_scale):
                                DatasetConfig(num_samples=16, seed=7,
                                              small_queue_fraction=0.5))
     root = tmp_path_factory.mktemp("payload-bench")
-    stores = {payload: save_dataset(samples, str(root / payload), shards=4,
-                                    shard_payload=payload)
-              for payload in ("jsonl", "binary")}
+    stores = {"jsonl": write_format2_store(samples, str(root / "jsonl"),
+                                           shards=4),
+              "binary": save_dataset(samples, str(root / "binary"), shards=4)}
 
     def read_speed(path: str, repetitions: int = 3) -> float:
         best = np.inf

@@ -28,12 +28,6 @@ from repro.datasets.factory import (
 )
 from repro.datasets.generator import DatasetConfig, generate_dataset
 from repro.datasets.normalization import FeatureNormalizer
-from repro.datasets.sharded import (
-    ShardedDatasetReader,
-    ShardedDatasetWriter,
-    attach_normalizer,
-    shard_size_for,
-)
 from repro.datasets.splits import train_val_test_split
 from repro.datasets.storage import load_dataset, save_dataset
 from repro.models.config import RouteNetConfig
@@ -75,24 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--random-nodes", type=int, default=12,
                           help="node count when --topology random")
-    generate.add_argument("--dataset-shards", type=int, default=None,
-                          help="write a sharded store directory of this many "
-                               "shards instead of one .json.gz blob: samples "
-                               "stream straight to disk during generation "
-                               "(O(1) live samples), and 'train "
-                               "--prefetch-depth' can later stream epochs out "
-                               "of it without loading the dataset")
-    generate.add_argument("--shard-payload", choices=["binary", "jsonl"],
-                          default="binary",
-                          help="with --dataset-shards: shard encoding — "
-                               "'binary' (default) writes format-3 npz array "
-                               "shards that load without JSON parsing; "
-                               "'jsonl' writes the format-2 gzipped-JSONL "
-                               "shards readable by older checkouts")
     generate.add_argument("--output", required=True,
                           help="output dataset path (.json.gz, or a store "
-                               "directory with --dataset-shards or in "
-                               "factory mode)")
+                               "directory in factory mode)")
     generate.add_argument("--workers", type=int, default=1,
                           help="dataset factory: generate with this many "
                                "worker processes, each executing whole work "
@@ -169,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "forever)")
     train.add_argument("--prefetch-depth", type=int, default=None,
                        help="out-of-core training: --dataset must be a sharded "
-                            "store ('generate --dataset-shards'); epochs are "
+                            "store ('generate --unit-size'); epochs are "
                             "streamed through a prefetch pipeline holding at "
                             "most this many merged batches ahead instead of "
                             "the whole tensorised dataset (trains on the full "
@@ -243,21 +222,6 @@ def _command_generate(args: argparse.Namespace) -> int:
                            backend=args.backend, seed=args.seed)
     metadata = {"topology": topology.name, "samples": args.samples,
                 "backend": args.backend, "seed": args.seed}
-    if args.dataset_shards is not None:
-        # Out-of-core generation: samples stream straight to the sharded
-        # store (never held as a list), then the normaliser is fitted by
-        # streaming the store back — two passes, O(1) live samples.
-        with ShardedDatasetWriter(args.output,
-                                  shard_size=shard_size_for(args.samples,
-                                                            args.dataset_shards),
-                                  metadata=metadata,
-                                  payload=args.shard_payload) as writer:
-            count = generate_dataset(topology, config, writer=writer)
-        reader = ShardedDatasetReader(args.output)
-        attach_normalizer(args.output, FeatureNormalizer().fit(reader))
-        print(f"wrote {count} samples to {args.output} "
-              f"({reader.num_shards} shards)")
-        return 0
     samples = generate_dataset(topology, config)
     normalizer = FeatureNormalizer().fit(samples)
     path = save_dataset(samples, args.output, normalizer=normalizer,
@@ -283,7 +247,6 @@ def _generate_via_factory(args: argparse.Namespace) -> int:
         seed=args.seed,
         base_config={"small_queue_fraction": args.small_queue_fraction,
                      "backend": args.backend},
-        payload=args.shard_payload,
     )
 
     def progress(unit_index: int, completed: int, scheduled: int) -> None:

@@ -14,8 +14,8 @@ produce samples:
 :mod:`repro.datasets.tensorize` converts samples into the index/feature
 arrays the RouteNet models consume, and :mod:`repro.datasets.storage`
 persists datasets to disk — either as one gzipped JSON blob (format 1) or
-as a :mod:`sharded <repro.datasets.sharded>` store of gzipped JSONL shards
-(format 2) that :mod:`repro.datasets.prefetch` streams batches out of for
+as a :mod:`sharded <repro.datasets.sharded>` store of binary npz shards
+(format 3) that :mod:`repro.datasets.prefetch` streams batches out of for
 out-of-core training.
 """
 
@@ -28,12 +28,7 @@ from repro.datasets.tensorize import TensorizedSample, tensorize_sample
 from repro.datasets.batching import bucket_order, make_batches, merge_tensorized_samples
 from repro.datasets.splits import train_val_test_split
 from repro.datasets.storage import load_dataset, save_dataset
-from repro.datasets.sharded import (
-    ShardedDatasetReader,
-    ShardedDatasetWriter,
-    attach_normalizer,
-    is_sharded_store,
-)
+from repro.datasets.sharded import ShardedDatasetReader, is_sharded_store
 from repro.datasets.factory import (
     DatasetJobSpec,
     WorkUnit,
@@ -62,8 +57,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "ShardedDatasetReader",
-    "ShardedDatasetWriter",
-    "attach_normalizer",
     "is_sharded_store",
     "BatchPrefetcher",
     "iter_window_batches",

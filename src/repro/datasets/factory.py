@@ -74,11 +74,12 @@ from repro.datasets.generator import DatasetConfig, DatasetGenerator
 from repro.datasets.normalization import FeatureNormalizer
 from repro.datasets.sharded import (
     MANIFEST_NAME,
+    SHARD_EXTENSION,
     ShardedDatasetReader,
     _write_manifest,
+    build_manifest,
     file_sha256,
     is_sharded_store,
-    shard_extension,
     write_shard,
 )
 from repro.supervision import (
@@ -191,9 +192,8 @@ class DatasetJobSpec:
     base_config:
         Fixed :class:`DatasetConfig` overrides shared by every scenario
         (e.g. ``{"backend": "simulation"}``).
-    payload:
-        Shard encoding of the units, ``"binary"`` (format 3) or
-        ``"jsonl"`` (format 2).
+
+    Units are always written as format-3 npz shards.
     """
 
     topologies: Sequence[str] = ("geant2",)
@@ -202,7 +202,6 @@ class DatasetJobSpec:
     seed: int = 0
     axes: Dict[str, Sequence] = dataclasses.field(default_factory=dict)
     base_config: Dict[str, object] = dataclasses.field(default_factory=dict)
-    payload: str = "binary"
 
     def __post_init__(self) -> None:
         self.topologies = tuple(self.topologies)
@@ -212,9 +211,6 @@ class DatasetJobSpec:
             raise ValueError("samples_per_scenario must be positive")
         if self.unit_size < 1:
             raise ValueError("unit_size must be at least 1")
-        if self.payload not in ("binary", "jsonl"):
-            raise ValueError(
-                f"payload must be 'binary' or 'jsonl', got {self.payload!r}")
         for field_name, values in self.axes.items():
             if field_name not in _CONFIG_FIELDS:
                 raise ValueError(
@@ -252,6 +248,9 @@ class DatasetJobSpec:
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
+        # "payload" names the shard encoding; it is kept (always "binary")
+        # so the fingerprints of stores made when the JSONL writer still
+        # existed keep matching on --resume.
         return {
             "topologies": list(self.topologies),
             "samples_per_scenario": self.samples_per_scenario,
@@ -259,12 +258,19 @@ class DatasetJobSpec:
             "seed": self.seed,
             "axes": {name: list(values) for name, values in self.axes.items()},
             "base_config": dict(self.base_config),
-            "payload": self.payload,
+            "payload": "binary",
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "DatasetJobSpec":
-        return cls(**payload)
+    def from_dict(cls, data: dict) -> "DatasetJobSpec":
+        fields = dict(data)
+        payload = fields.pop("payload", "binary")
+        if payload != "binary":
+            raise ValueError(
+                f"job spec asks for {payload!r} shards, but the JSONL shard "
+                "writer (format 2) is retired: units are written as binary "
+                "npz shards only (existing format-2 stores still read)")
+        return cls(**fields)
 
     def fingerprint(self) -> str:
         """Canonical identity of the sweep — what resume matches against."""
@@ -321,7 +327,10 @@ def execute_unit(spec: DatasetJobSpec, unit: WorkUnit, path: str) -> dict:
     Returns the unit's provenance record for the catalog.  The unit's RNG
     stream ``default_rng([job_seed, unit_index])`` makes the shard's
     content a pure function of (spec, unit index) — bit-identical whether
-    it runs in the parent, in any worker, or in a later resume.
+    it runs in the parent, in any worker, or in a later resume.  The
+    simulator's wall time is taken out of each sample's metadata and summed
+    into the returned record, so the shard bytes depend only on (spec, unit
+    index, simulator version).
     """
     started = time.perf_counter()
     log_execution("unit", unit_index=unit.index, pid=os.getpid())
@@ -341,10 +350,10 @@ def execute_unit(spec: DatasetJobSpec, unit: WorkUnit, path: str) -> dict:
             **unit.axes,
         })
         events_processed += int(sample.metadata.get("events_processed", 0))
-        sim_wall_seconds += float(sample.metadata.get("sim_wall_seconds", 0.0))
+        sim_wall_seconds += float(sample.metadata.pop("sim_wall_seconds", 0.0))
         samples.append(sample)
-    name = unit.shard_name_stem + shard_extension(spec.payload)
-    record = write_shard(path, name, samples, payload=spec.payload)
+    name = unit.shard_name_stem + SHARD_EXTENSION
+    record = write_shard(path, name, samples)
     fault_point("factory.unit.committed", unit_index=unit.index,
                 path=os.path.join(path, name))
     return {
@@ -392,20 +401,15 @@ def _build_manifest(spec: DatasetJobSpec, units_state: List[dict],
             record["sha256"] = state["sha256"]
         return record
 
-    return {
-        "format_version": 3 if spec.payload == "binary" else 2,
-        "payload": spec.payload,
-        "metadata": dict(metadata) if metadata else {},
-        "normalizer": normalizer.to_dict() if normalizer is not None else None,
-        "total_samples": sum(state["written_samples"] for state in done),
-        "shards": [shard_record(state) for state in done],
-        "catalog": {
+    return build_manifest(
+        [shard_record(state) for state in done],
+        normalizer=normalizer, metadata=metadata,
+        catalog={
             "job": spec.to_dict(),
             "fingerprint": spec.fingerprint(),
             "simulator_version": __version__,
             "units": units_state,
-        },
-    }
+        })
 
 
 def _read_manifest(path: str) -> dict:
@@ -1040,8 +1044,9 @@ def merge_catalogs(sources: Sequence[str], output: str,
     sequential unit names; their catalog records are preserved verbatim
     (plus ``source`` / ``source_index`` provenance), so the merged catalog
     still tells exactly which job, seed path and config produced every
-    shard.  Sources may mix payload encodings — the reader dispatches its
-    decoder per shard file — but **not** simulator versions: mixing
+    shard.  Shards are copied byte for byte, so a source's legacy
+    gzipped-JSONL (format-2) shards keep reading — the reader dispatches its
+    decoder per shard file.  Sources may **not** mix simulator versions: mixing
     samples produced by different generator/simulator code would silently
     poison the merged store's provenance, so mismatched
     ``simulator_version`` values are refused with an error naming each
@@ -1056,7 +1061,6 @@ def merge_catalogs(sources: Sequence[str], output: str,
     merged_units: List[dict] = []
     shards: List[dict] = []
     jobs = []
-    payloads = set()
     versions = set()
     source_versions: List[Tuple[str, object]] = []
     for source in sources:
@@ -1068,7 +1072,6 @@ def merge_catalogs(sources: Sequence[str], output: str,
             raise ValueError(
                 f"'{source}' is a sharded store without a factory catalog; "
                 "only factory stores carry the provenance a merge preserves")
-        payloads.add(manifest.get("payload"))
         versions.add(catalog.get("simulator_version"))
         if len(versions) > 1:
             raise ValueError(
@@ -1102,21 +1105,14 @@ def merge_catalogs(sources: Sequence[str], output: str,
             shards.append(shard)
     if not merged_units:
         raise ValueError("no completed units found in the source stores")
-    payload = payloads.pop() if len(payloads) == 1 else "mixed"
-    manifest = {
-        "format_version": 2 if payload == "jsonl" else 3,
-        "payload": payload,
-        "metadata": {"merged_from": [job["source"] for job in jobs]},
-        "normalizer": None,
-        "total_samples": sum(shard["num_samples"] for shard in shards),
-        "shards": shards,
-        "catalog": {
+    manifest = build_manifest(
+        shards, metadata={"merged_from": [job["source"] for job in jobs]},
+        catalog={
             "job": {"merged_from": jobs},
             "fingerprint": None,
             "simulator_version": versions.pop(),
             "units": merged_units,
-        },
-    }
+        })
     _write_manifest(output, manifest)
     if fit_normalizer:
         manifest["normalizer"] = FeatureNormalizer().fit(

@@ -123,30 +123,14 @@ class DatasetGenerator:
         """Yield ``config.num_samples`` samples one at a time.
 
         The lazy core of :meth:`generate`: nothing is retained between
-        samples, so arbitrarily large sweeps can be streamed straight to a
-        :class:`~repro.datasets.sharded.ShardedDatasetWriter` (see
-        :meth:`generate_to`) without the list ever existing.
+        samples, so a sweep can be streamed (e.g. into ``save_dataset``)
+        without the list ever existing.
         """
         rng = np.random.default_rng(self.config.seed)
         for index in range(self.config.num_samples):
             yield self.generate_one(rng)
             if progress is not None:
                 progress(index + 1, self.config.num_samples)
-
-    def generate_to(self, writer,
-                    progress: Optional[Callable[[int, int], None]] = None) -> int:
-        """Stream the sweep into a sharded dataset writer; return the count.
-
-        ``writer`` is anything with a ``write(sample)`` method (typically a
-        :class:`~repro.datasets.sharded.ShardedDatasetWriter`).  Identical
-        sample stream to :meth:`generate` — same seed, same order — but with
-        O(1) samples live.
-        """
-        count = 0
-        for sample in self.iter_samples(progress=progress):
-            writer.write(sample)
-            count += 1
-        return count
 
     def generate_one(self, rng: np.random.Generator) -> Sample:
         """Generate a single sample using the provided random generator."""
@@ -180,15 +164,8 @@ class DatasetGenerator:
 
 
 def generate_dataset(base_topology: Topology, config: Optional[DatasetConfig] = None,
-                     progress: Optional[Callable[[int, int], None]] = None,
-                     writer=None):
-    """Convenience wrapper around :class:`DatasetGenerator`.
-
-    Returns the list of generated samples — unless ``writer`` is given, in
-    which case the samples are streamed straight into it (never held as a
-    list) and the number written is returned instead.
-    """
-    generator = DatasetGenerator(base_topology, config)
-    if writer is not None:
-        return generator.generate_to(writer, progress=progress)
-    return generator.generate(progress=progress)
+                     progress: Optional[Callable[[int, int], None]] = None
+                     ) -> List[Sample]:
+    """Convenience wrapper around :class:`DatasetGenerator`: the list of
+    generated samples."""
+    return DatasetGenerator(base_topology, config).generate(progress=progress)

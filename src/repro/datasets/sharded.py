@@ -1,22 +1,22 @@
-"""Sharded on-disk dataset store: JSONL or binary npz shards plus a manifest.
+"""Sharded on-disk dataset store: binary npz shards plus a manifest.
 
 Formats 2 and 3 of the dataset storage layer (format 1 is the single
 ``.json.gz`` blob of :mod:`repro.datasets.storage`).  A sharded store is a
 *directory*::
 
     store/
-      manifest.json          <- format_version 2 or 3, shard index, normalizer
-      shard-00000.jsonl.gz   <- format 2: one JSON-encoded Sample dict per line
-      shard-00001.jsonl.gz
-      ...
-
-or, with ``payload="binary"`` (manifest ``format_version`` 3)::
-
-    store/
-      manifest.json
-      shard-00000.npz        <- format 3: raw index/float arrays per sample
+      manifest.json          <- format_version 3, shard index, normalizer
+      shard-00000.npz        <- raw index/float arrays per sample
       shard-00001.npz
       ...
+
+Every store is written as format 3: :func:`write_shard` is the one shard
+writer and :func:`build_manifest` the one builder of the index, used by
+:func:`~repro.datasets.storage.save_dataset`, the dataset factory and
+:func:`~repro.datasets.factory.merge_catalogs` alike.  Format 2 — the same
+layout with gzipped-JSONL shards (``shard-00000.jsonl.gz``, one
+JSON-encoded Sample dict per line) — is no longer written but still read:
+the reader picks the decoder from each shard's extension.
 
 The binary payload stores every sample as a handful of typed arrays
 (routing as offsets into one flat node-id vector, traffic as the dense
@@ -25,11 +25,8 @@ non-array attributes, so streamed epochs read samples with **zero JSON
 parsing of numeric data** — ``np.load`` hands the arrays straight back.
 Round trips are bit-exact in both formats (JSON floats survive via repr).
 
-Samples are written **incrementally** (rolling over to a new shard every
-``shard_size`` samples), so arbitrarily large datasets can be generated and
-persisted without ever materialising the sample list — and read back the
-same way: :class:`ShardedDatasetReader` is an iterable that decodes one
-sample at a time, which is what the streaming training pipeline
+:class:`ShardedDatasetReader` is an iterable that decodes one sample at a
+time, which is what the streaming training pipeline
 (:mod:`repro.datasets.prefetch`) consumes to run epochs in O(window) memory
 instead of O(dataset).
 
@@ -37,20 +34,16 @@ Crash safety mirrors the trainer's checkpointing: every shard is written to
 a ``.tmp`` name and :func:`os.replace`-d into place when complete, and the
 manifest — written last — is the commit point.  A killed writer leaves at
 worst orphaned shard files and no *new* manifest, never a store that reads
-back truncated; rewriting an existing store keeps the old generation fully
-readable until the new manifest lands (rewrite shards carry a unique
-``shard-<token>-NNNNN`` name prefix so the generations cannot collide, and
-the superseded files are deleted only after the commit).
+back truncated.
 
 Integrity goes beyond crash atomicity: every shard's SHA-256 is computed
 over the finished ``.tmp`` bytes and stamped into its manifest record, and
 :class:`ShardedDatasetReader` re-hashes each shard the first time it reads
 it (per reader instance), refusing silently rotten bytes with an error
-naming the file and both digests.  Shard bytes are deterministic functions
-of their samples in both payloads (JSONL shards are gzipped with a fixed
-mtime and no embedded filename; npz archives carry no timestamps), which
-is what lets the fault-tolerance tests assert byte-identical stores across
-crash/recover runs.
+naming the file and both digests.  Shard bytes are a deterministic function
+of their samples (npz archives carry no timestamps), which is what lets the
+fault-tolerance tests assert byte-identical stores across crash/recover
+runs.
 """
 
 from __future__ import annotations
@@ -75,17 +68,19 @@ from repro.traffic.matrix import TrafficMatrix
 
 __all__ = [
     "MANIFEST_NAME",
-    "ShardedDatasetWriter",
+    "SHARD_EXTENSION",
     "ShardedDatasetReader",
-    "attach_normalizer",
+    "build_manifest",
     "is_sharded_store",
     "shard_size_for",
-    "shard_extension",
     "write_shard",
     "file_sha256",
 ]
 
 MANIFEST_NAME = "manifest.json"
+
+#: File extension of every shard this package writes (format 3).
+SHARD_EXTENSION = ".npz"
 
 SUPPORTED_FORMAT_VERSIONS = (2, 3)
 
@@ -184,37 +179,6 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _open_deterministic_gzip_text(path: str):
-    """Open ``path`` for gzipped text writing with byte-deterministic output.
-
-    Plain ``gzip.open`` embeds the current mtime (and, given a filename, the
-    name itself) in the gzip header, so two writes of identical samples
-    differ at the byte level.  Pinning ``mtime=0`` over an anonymous
-    ``fileobj`` makes shard bytes a pure function of their contents — the
-    property the checksum layer and the crash-recovery tests lean on.
-    """
-    raw = open(path, "wb")
-    try:
-        compressed = gzip.GzipFile(fileobj=raw, mode="wb", mtime=0)
-    except Exception:
-        raw.close()
-        raise
-    text = io.TextIOWrapper(compressed, encoding="utf-8")
-    # Closing the TextIOWrapper closes the GzipFile but not the raw file;
-    # chain it so one close() releases all three layers.
-    original_close = text.close
-
-    def close_all() -> None:
-        original_close()
-        if not compressed.closed:
-            compressed.close()
-        if not raw.closed:
-            raw.close()
-
-    text.close = close_all  # type: ignore[method-assign]
-    return text
-
-
 def _commit_shard(directory: str, name: str) -> str:
     """Hash the finished ``.tmp`` shard and rename it into place.
 
@@ -228,15 +192,6 @@ def _commit_shard(directory: str, name: str) -> str:
     fault_point("sharded.shard.pre_replace", name=name)
     os.replace(temporary, os.path.join(directory, name))
     return digest
-
-
-def shard_extension(payload: str) -> str:
-    """File extension of one shard in the given payload encoding."""
-    if payload == "binary":
-        return ".npz"
-    if payload == "jsonl":
-        return ".jsonl.gz"
-    raise ValueError(f"payload must be 'jsonl' or 'binary', got {payload!r}")
 
 
 def _write_binary_shard(directory: str, name: str,
@@ -264,38 +219,56 @@ def _write_binary_shard(directory: str, name: str,
     return _commit_shard(directory, name)
 
 
-def write_shard(directory: str, name: str, samples, payload: str = "binary") -> dict:
-    """Write one complete, self-contained shard file atomically.
+def write_shard(directory: str, name: str, samples) -> dict:
+    """Write one complete, self-contained format-3 shard file atomically.
 
-    The shard-write kernel shared by :class:`ShardedDatasetWriter` (which
-    rolls shards as samples stream in) and the dataset factory (whose
-    worker processes each commit one whole work unit as one shard).  The
-    file appears under ``directory/name`` only when fully written (temp +
+    The one shard writer of the package: :func:`repro.datasets.storage.
+    save_dataset` writes a store as a run of these, and the dataset factory's
+    worker processes each commit one whole work unit as one.  The file
+    appears under ``directory/name`` only when fully written (temp +
     ``os.replace``), so concurrent writers of *different* names never
     interfere and a killed writer leaves at worst a ``.tmp`` residue.
 
     Returns the shard's manifest record
-    ``{"name": ..., "num_samples": ..., "sha256": ...}``.
-    ``name`` must carry the extension matching ``payload`` (see
-    :func:`shard_extension`) — the reader dispatches its decoder on it.
+    ``{"name": ..., "num_samples": ..., "sha256": ...}``.  ``name`` must
+    carry the :data:`SHARD_EXTENSION` — the reader dispatches its decoder
+    on it.
     """
-    extension = shard_extension(payload)
-    if not name.endswith(extension):
+    if not name.endswith(SHARD_EXTENSION):
         raise ValueError(
-            f"shard name '{name}' does not match payload '{payload}' "
-            f"(expected the '{extension}' extension)")
+            f"shard name '{name}' lacks the '{SHARD_EXTENSION}' extension")
     samples = list(samples)
-    if payload == "binary":
-        digest = _write_binary_shard(
-            directory, name, [_encode_sample(s) for s in samples])
-    else:
-        temporary = os.path.join(directory, name + ".tmp")
-        with _open_deterministic_gzip_text(temporary) as handle:
-            for sample in samples:
-                json.dump(sample.to_dict(), handle)
-                handle.write("\n")
-        digest = _commit_shard(directory, name)
+    digest = _write_binary_shard(
+        directory, name, [_encode_sample(s) for s in samples])
     return {"name": name, "num_samples": len(samples), "sha256": digest}
+
+
+def build_manifest(shards: List[dict],
+                   normalizer: Optional[FeatureNormalizer] = None,
+                   metadata: Optional[dict] = None,
+                   catalog: Optional[dict] = None) -> dict:
+    """The store index over ``shards`` — the one builder of a manifest.
+
+    ``shards`` are :func:`write_shard` records, in read order.  The format
+    follows the shard files: 3 (binary) when every shard is npz, which is
+    all this package writes; a merge that carries over legacy gzipped-JSONL
+    shards keeps describing them as format 2 (all JSONL) or a ``"mixed"``
+    payload.  The dataset factory adds its provenance ``catalog`` block.
+    """
+    legacy = sum(not shard["name"].endswith(SHARD_EXTENSION) for shard in shards)
+    payload = ("binary" if not legacy
+               else "jsonl" if legacy == len(shards) else "mixed")
+    manifest = {
+        "format_version": 2 if payload == "jsonl" else 3,
+        "payload": payload,
+        "metadata": dict(metadata) if metadata else {},
+        "normalizer": normalizer.to_dict() if normalizer is not None else None,
+        "total_samples": sum(shard["num_samples"] for shard in shards),
+        "shards": list(shards),
+    }
+    if catalog is not None:
+        manifest["catalog"] = catalog
+    return manifest
 
 
 def is_sharded_store(path: str) -> bool:
@@ -309,208 +282,20 @@ def _write_manifest(path: str, manifest: dict) -> None:
     The temp name carries the writer's pid: concurrent ``--resume`` runs
     committing the same store (coordinated per *unit* by claim files, but
     free to interleave manifest commits) must not rename each other's
-    half-written temp file out from under the replace."""
+    half-written temp file out from under the replace.  A manifest that
+    fails to serialise leaves no temp file behind."""
     target = os.path.join(path, MANIFEST_NAME)
     temporary = f"{target}.{os.getpid()}.tmp"
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+    except BaseException:
+        try:
+            os.remove(temporary)
+        except OSError:
+            pass
+        raise
     os.replace(temporary, target)
-
-
-class ShardedDatasetWriter:
-    """Write samples incrementally into a sharded dataset store.
-
-    Parameters
-    ----------
-    path:
-        Directory of the store (created if missing).  Re-writing an
-        existing store is **atomic at the manifest**: the new generation's
-        shards are written under fresh (collision-free) names while the old
-        manifest — and every shard it references — stays untouched, so
-        readers keep seeing the previous dataset until :meth:`close`
-        replaces the manifest; only then are the superseded shard files
-        deleted.  A rewrite killed at any point leaves the old store fully
-        readable.
-    shard_size:
-        Samples per shard (the last shard may be smaller).
-    payload:
-        Shard encoding: ``"jsonl"`` (default) writes format-2 gzipped-JSONL
-        shards; ``"binary"`` writes format-3 ``.npz`` shards whose samples
-        are typed arrays that load back with zero JSON parsing of numeric
-        data (the fast path for streamed epochs).  The manifest records the
-        choice as ``format_version`` 2 / 3 plus a ``payload`` key.
-    normalizer / metadata:
-        Stored in the manifest.  The normaliser can also be attached after
-        the fact with :meth:`set_normalizer` (before :meth:`close`) or
-        :func:`attach_normalizer` (after) — useful when it is fitted by
-        streaming over the already-written store.
-
-    Use as a context manager: a clean exit finalises the manifest, an
-    exception aborts without one (a fresh store stays invisible to readers,
-    an existing one keeps its previous contents).
-    """
-
-    def __init__(self, path: str, shard_size: int = 256,
-                 normalizer: Optional[FeatureNormalizer] = None,
-                 metadata: Optional[dict] = None,
-                 payload: str = "jsonl") -> None:
-        if shard_size < 1:
-            raise ValueError("shard_size must be at least 1")
-        if payload not in ("jsonl", "binary"):
-            raise ValueError(
-                f"payload must be 'jsonl' or 'binary', got {payload!r}")
-        self.path = path
-        self.shard_size = shard_size
-        self.payload = payload
-        self._normalizer = normalizer
-        self._metadata = dict(metadata) if metadata else {}
-        self._shards: List[dict] = []
-        self._handle = None
-        #: Encoded (arrays, meta) of the open binary shard's samples.
-        self._pending: List[Tuple[dict, str]] = []
-        self._current_count = 0
-        self._closed = False
-        os.makedirs(path, exist_ok=True)
-        # When a committed store already lives here, the new generation's
-        # shards get a unique name prefix so they can never collide with a
-        # shard the live manifest references — the prerequisite for the
-        # atomic manifest swap in close().
-        if os.path.exists(os.path.join(path, MANIFEST_NAME)):
-            self._name_prefix = f"shard-{os.urandom(4).hex()}-"
-        else:
-            self._name_prefix = "shard-"
-
-    # ------------------------------------------------------------------ #
-    @property
-    def num_samples(self) -> int:
-        """Samples written so far (including the open shard)."""
-        return (sum(shard["num_samples"] for shard in self._shards)
-                + self._current_count)
-
-    def set_normalizer(self, normalizer: Optional[FeatureNormalizer]) -> None:
-        """Set the normaliser recorded in the manifest at :meth:`close`."""
-        self._normalizer = normalizer
-
-    # ------------------------------------------------------------------ #
-    def _shard_name(self) -> str:
-        return (f"{self._name_prefix}{len(self._shards):05d}"
-                f"{shard_extension(self.payload)}")
-
-    def _open_shard(self) -> None:
-        temporary = os.path.join(self.path, self._shard_name() + ".tmp")
-        self._handle = _open_deterministic_gzip_text(temporary)
-        self._current_count = 0
-
-    def _seal_shard(self) -> None:
-        """Write out / close the open shard and rename it into its final place."""
-        if self.payload == "binary":
-            if not self._pending:
-                return
-            name = self._shard_name()
-            digest = _write_binary_shard(self.path, name, self._pending)
-            self._shards.append({"name": name,
-                                 "num_samples": len(self._pending),
-                                 "sha256": digest})
-            self._pending = []
-            self._current_count = 0
-            return
-        if self._handle is None:
-            return
-        self._handle.close()
-        self._handle = None
-        name = self._shard_name()
-        digest = _commit_shard(self.path, name)
-        self._shards.append({"name": name,
-                             "num_samples": self._current_count,
-                             "sha256": digest})
-        self._current_count = 0
-
-    def write(self, sample: Sample) -> None:
-        """Append one sample (shards roll automatically every ``shard_size``)."""
-        if self._closed:
-            raise RuntimeError("writer is closed")
-        if self.payload == "binary":
-            # Encoded immediately (errors surface at write time and the
-            # Sample object is not retained), written out at shard roll.
-            self._pending.append(_encode_sample(sample))
-            self._current_count += 1
-        else:
-            if self._handle is None:
-                self._open_shard()
-            json.dump(sample.to_dict(), self._handle)
-            self._handle.write("\n")
-            self._current_count += 1
-        if self._current_count >= self.shard_size:
-            self._seal_shard()
-
-    def close(self) -> str:
-        """Seal the open shard and commit the manifest; returns the path.
-
-        The manifest replace is the commit point; superseded shard files
-        from a previous generation (and any stray ``.tmp``) are deleted
-        only *after* it, so a crash anywhere leaves either the old store or
-        the new one fully readable — never a mixture.
-        """
-        if self._closed:
-            return self.path
-        if self._current_count > 0:
-            self._seal_shard()
-        elif self._handle is not None:  # opened but empty (cannot happen today)
-            self._handle.close()
-            self._handle = None
-        manifest = {
-            "format_version": 3 if self.payload == "binary" else 2,
-            "payload": self.payload,
-            "metadata": self._metadata,
-            "normalizer": (self._normalizer.to_dict()
-                           if self._normalizer is not None else None),
-            "total_samples": sum(s["num_samples"] for s in self._shards),
-            "shards": self._shards,
-        }
-        _write_manifest(self.path, manifest)
-        self._closed = True
-        referenced = {shard["name"] for shard in self._shards}
-        for name in os.listdir(self.path):
-            if name == MANIFEST_NAME or name in referenced:
-                continue
-            if name.startswith("shard-"):
-                try:
-                    os.remove(os.path.join(self.path, name))
-                except OSError:
-                    pass
-        return self.path
-
-    def abort(self) -> None:
-        """Drop everything this writer produced; commit nothing.
-
-        The in-progress ``.tmp`` and any shards this writer already sealed
-        are removed; a pre-existing store (manifest and its shards) is left
-        exactly as it was.
-        """
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            try:
-                os.remove(os.path.join(self.path, self._shard_name() + ".tmp"))
-            except OSError:
-                pass
-        self._pending = []
-        for shard in self._shards:
-            try:
-                os.remove(os.path.join(self.path, shard["name"]))
-            except OSError:
-                pass
-        self._shards = []
-        self._closed = True
-
-    def __enter__(self) -> "ShardedDatasetWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
 
 
 class ShardedDatasetReader:
@@ -518,8 +303,8 @@ class ShardedDatasetReader:
 
     The reader is a sized iterable: ``len(reader)`` is the manifest's total
     and every ``iter(reader)`` starts a fresh pass over the shards (one pass
-    per training epoch).  Iteration parses one JSONL line into a
-    :class:`Sample` at a time, so only O(1) samples are ever live — the
+    per training epoch).  Iteration decodes one :class:`Sample` at a
+    time, so only O(1) samples are ever live — the
     property the out-of-core training path is built on.
 
     With ``verify_checksums=True`` (the default) each shard's bytes are
@@ -635,21 +420,6 @@ class ShardedDatasetReader:
     def read_all(self) -> List[Sample]:
         """Materialise the whole store as a list (the non-streaming path)."""
         return list(self)
-
-
-def attach_normalizer(path: str, normalizer: Optional[FeatureNormalizer]) -> None:
-    """Rewrite a store's manifest with ``normalizer`` (atomically).
-
-    Lets a normaliser be fitted *after* generation by streaming over the
-    written store (``FeatureNormalizer().fit(ShardedDatasetReader(path))``)
-    and then recorded without rewriting any shard.
-    """
-    if not is_sharded_store(path):
-        raise FileNotFoundError(f"no sharded dataset store at '{path}'")
-    with open(os.path.join(path, MANIFEST_NAME), "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    manifest["normalizer"] = normalizer.to_dict() if normalizer is not None else None
-    _write_manifest(path, manifest)
 
 
 def shard_size_for(num_samples: int, shards: int) -> int:

@@ -4,16 +4,18 @@ Two formats share this entry point:
 
 * **format 1** — one gzipped JSON file (``.json.gz``) holding every sample;
   the historical format, still read and written.
-* **formats 2 and 3** — a sharded store directory (see
-  :mod:`repro.datasets.sharded`): gzipped-JSONL (2) or binary npz (3)
-  shards plus a manifest, written and read incrementally.
-  ``save_dataset(..., shards=N)`` writes one (``shard_payload="binary"``
-  selects format 3); :func:`load_dataset` transparently reads any format.
+* **format 3** — a sharded store directory (see
+  :mod:`repro.datasets.sharded`) of binary npz shards plus a manifest,
+  written by ``save_dataset(..., shards=N)``.
+
+:func:`load_dataset` transparently reads either, and format-2 stores
+(gzipped-JSONL shards), which are no longer written.
 """
 
 from __future__ import annotations
 
 import gzip
+import itertools
 import json
 import os
 from typing import Iterable, List, Optional, Tuple
@@ -21,20 +23,82 @@ from typing import Iterable, List, Optional, Tuple
 from repro.datasets.normalization import FeatureNormalizer
 from repro.datasets.sample import Sample
 from repro.datasets.sharded import (
+    MANIFEST_NAME,
+    SHARD_EXTENSION,
     ShardedDatasetReader,
-    ShardedDatasetWriter,
+    _write_manifest,
+    build_manifest,
     is_sharded_store,
     shard_size_for,
+    write_shard,
 )
 
 __all__ = ["save_dataset", "load_dataset"]
 
 
+def _remove_quietly(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass
+
+
+def _save_sharded(samples: Iterable[Sample], path: str, shards: int,
+                  normalizer: Optional[FeatureNormalizer],
+                  metadata: Optional[dict]) -> str:
+    """Write ``samples`` as a format-3 store of ``shards`` shard files.
+
+    Shards are written one chunk at a time through :func:`write_shard`, and
+    the manifest — written last — is the commit point.  Rewriting an
+    existing store is atomic at the manifest: the new shards get a fresh
+    ``shard-<token>-`` name prefix so they never collide with a shard the
+    live manifest references, and the superseded files are deleted only
+    after the new manifest lands.  A failure removes every file this call
+    wrote (and the directory, when it created it), so it leaves the old
+    store — or nothing — behind.
+    """
+    # Spreading over exactly N shards needs the sample count up front;
+    # sized inputs (lists, readers) are used as-is, only unsized iterators
+    # are buffered.
+    try:
+        count = len(samples)
+    except TypeError:
+        samples = list(samples)
+        count = len(samples)
+    size = shard_size_for(count, shards)
+    created = not os.path.isdir(path)
+    os.makedirs(path, exist_ok=True)
+    prefix = (f"shard-{os.urandom(4).hex()}-" if is_sharded_store(path)
+              else "shard-")
+    stream = iter(samples)
+    names: List[str] = []
+    records: List[dict] = []
+    try:
+        while chunk := list(itertools.islice(stream, size)):
+            names.append(f"{prefix}{len(names):05d}{SHARD_EXTENSION}")
+            records.append(write_shard(path, names[-1], chunk))
+        _write_manifest(path, build_manifest(records, normalizer=normalizer,
+                                             metadata=metadata))
+    except BaseException:
+        for name in names:
+            _remove_quietly(os.path.join(path, name))
+            _remove_quietly(os.path.join(path, name + ".tmp"))
+        if created:
+            try:
+                os.rmdir(path)
+            except OSError:
+                pass
+        raise
+    for name in set(os.listdir(path)) - set(names) - {MANIFEST_NAME}:
+        if name.startswith("shard-"):
+            _remove_quietly(os.path.join(path, name))
+    return path
+
+
 def save_dataset(samples: Iterable[Sample], path: str,
                  normalizer: Optional[FeatureNormalizer] = None,
                  metadata: Optional[dict] = None,
-                 shards: Optional[int] = None,
-                 shard_payload: str = "binary") -> str:
+                 shards: Optional[int] = None) -> str:
     """Write samples (and optionally their normaliser) to disk.
 
     With ``shards=None`` (default) this writes the format-1 single
@@ -45,33 +109,15 @@ def save_dataset(samples: Iterable[Sample], path: str,
     truncated dataset where a good one used to be (the same atomic-write
     contract as the trainer's ``save_checkpoint``).
 
-    With ``shards=N`` the samples are spread over a sharded store directory
-    at ``path`` (no suffix; see :class:`~repro.datasets.sharded.
-    ShardedDatasetWriter`), which :func:`load_dataset` and the streaming
-    training path both read; ``shard_payload`` picks the shard encoding
-    (``"binary"`` — the default — is the zero-parse format-3 npz payload,
-    ``"jsonl"`` the human-greppable format 2).
+    With ``shards=N`` the samples are spread over a format-3 sharded store
+    directory at ``path`` (no suffix), which :func:`load_dataset` and the
+    streaming training path both read; at most one shard's worth of
+    samples is held at a time.
 
     Returns the path written.
     """
     if shards is not None:
-        # Spreading over exactly N shards needs the sample count up front;
-        # sized inputs (lists, readers) are used as-is, only unsized
-        # iterators are buffered.  For a truly unbounded stream drive a
-        # ShardedDatasetWriter with a fixed shard_size directly instead.
-        try:
-            count = len(samples)
-        except TypeError:
-            samples = list(samples)
-            count = len(samples)
-        with ShardedDatasetWriter(path,
-                                  shard_size=shard_size_for(count, shards),
-                                  normalizer=normalizer,
-                                  metadata=metadata,
-                                  payload=shard_payload) as writer:
-            for sample in samples:
-                writer.write(sample)
-        return writer.path
+        return _save_sharded(samples, path, shards, normalizer, metadata)
 
     if not path.endswith(".json.gz"):
         path = path + ".json.gz"
@@ -92,10 +138,7 @@ def save_dataset(samples: Iterable[Sample], path: str,
             handle.write("]}")
     except BaseException:
         # Never leave a half-written temp file behind a failed save.
-        try:
-            os.remove(temporary)
-        except OSError:
-            pass
+        _remove_quietly(temporary)
         raise
     os.replace(temporary, path)
     return path

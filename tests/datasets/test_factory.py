@@ -6,6 +6,7 @@ gaps, simulator cost metadata)."""
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from repro.datasets import (
     job_status,
     merge_catalogs,
     run_job,
+    save_dataset,
 )
 from repro.datasets.factory import format_job_status, resolve_topology
 from repro.datasets.sharded import MANIFEST_NAME
 from repro.version import __version__
+from tests.format2 import write_jsonl_shard
 
 
 def spec_for(**overrides) -> DatasetJobSpec:
@@ -42,17 +45,9 @@ def spec_for(**overrides) -> DatasetJobSpec:
 
 
 def store_contents(path):
-    """Order-preserving canonical sample encodings of a store.
-
-    ``sim_wall_seconds`` is dropped before comparing: it is the one
-    metadata field documented to vary between otherwise identical runs.
-    """
-    contents = []
-    for sample in ShardedDatasetReader(path):
-        payload = sample.to_dict()
-        payload["metadata"].pop("sim_wall_seconds", None)
-        contents.append(json.dumps(payload, sort_keys=True))
-    return contents
+    """Order-preserving canonical sample encodings of a store."""
+    return [json.dumps(sample.to_dict(), sort_keys=True)
+            for sample in ShardedDatasetReader(path)]
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +262,35 @@ class TestMerge:
         assert units[7]["source_index"] == 1
         assert units[7]["seed_path"] == [17, 1]
 
+    def test_merge_keeps_legacy_jsonl_shards(self, tmp_path, reference_store):
+        """A source whose units are format-2 (gzipped-JSONL) shards, as
+        stores made before the JSONL writer was retired are, merges like
+        any other: its shards are copied byte for byte and read back
+        through the format-2 decoder."""
+        legacy = str(tmp_path / "legacy")
+        shutil.copytree(reference_store, legacy)
+        with open(os.path.join(legacy, MANIFEST_NAME)) as handle:
+            manifest = json.load(handle)
+        samples = iter(ShardedDatasetReader(reference_store))
+        for unit in manifest["catalog"]["units"]:
+            os.remove(os.path.join(legacy, unit["shard"]))
+            record = write_jsonl_shard(
+                legacy, unit["shard"].replace(".npz", ".jsonl.gz"),
+                [next(samples) for _ in range(unit["written_samples"])])
+            unit.update(shard=record["name"], sha256=record["sha256"])
+        with open(os.path.join(legacy, MANIFEST_NAME), "w") as handle:
+            json.dump(manifest, handle)
+
+        for sources, layout in (([legacy], (2, "jsonl")),
+                                ([legacy, reference_store], (3, "mixed"))):
+            merged = str(tmp_path / layout[1])
+            merge_catalogs(sources, merged, fit_normalizer=False)
+            with open(os.path.join(merged, MANIFEST_NAME)) as handle:
+                written = json.load(handle)
+            assert (written["format_version"], written["payload"]) == layout
+            assert store_contents(merged) == \
+                store_contents(reference_store) * len(sources)
+
     def test_merge_refuses_existing_store_and_plain_stores(self, tmp_path,
                                                            reference_store):
         with pytest.raises(ValueError, match="fresh directory"):
@@ -303,11 +327,8 @@ class TestCLI:
             job_status(str(tmp_path / "nowhere"))
         # A plain sharded store (no catalog) is neither reportable nor a
         # valid factory output directory.
-        from repro.datasets.sharded import ShardedDatasetWriter
-        plain = str(tmp_path / "plain")
-        with ShardedDatasetWriter(plain, shard_size=4) as writer:
-            for sample in ShardedDatasetReader(reference_store):
-                writer.write(sample)
+        plain = save_dataset(ShardedDatasetReader(reference_store),
+                             str(tmp_path / "plain"), shards=3)
         with pytest.raises(ValueError, match="without a factory catalog"):
             job_status(plain)
         with pytest.raises(ValueError, match="refusing to overwrite"):
@@ -352,9 +373,12 @@ class TestSimulatorCostMetadata:
         assert status["events_processed"] > 0
         sample = next(iter(ShardedDatasetReader(path)))
         assert sample.metadata["events_processed"] > 0
-        assert sample.metadata["sim_wall_seconds"] > 0
         assert sample.metadata["generator"] == "packet-simulator"
-        # The catalog aggregates the same cost per unit.
+        # The catalog aggregates the same cost per unit.  The wall time
+        # lives only there: it varies between runs, so it stays out of the
+        # shard bytes.
         with open(os.path.join(path, MANIFEST_NAME)) as handle:
             unit = json.load(handle)["catalog"]["units"][0]
         assert unit["events_processed"] == sample.metadata["events_processed"]
+        assert unit["sim_wall_seconds"] > 0
+        assert "sim_wall_seconds" not in sample.metadata

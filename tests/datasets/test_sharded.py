@@ -1,6 +1,6 @@
-"""Tests for the sharded dataset store (formats 2 and 3) and the
-storage-layer satellites: streamed atomic format-1 saves, format-version
-validation and suffix-tolerant loading."""
+"""Tests for the sharded dataset store (format 3 written, formats 2 and 3
+read) and the storage-layer satellites: streamed atomic saves,
+format-version validation and suffix-tolerant loading."""
 
 import gzip
 import json
@@ -11,17 +11,24 @@ import pytest
 
 from repro.datasets import (
     DatasetConfig,
+    DatasetJobSpec,
     FeatureNormalizer,
     ShardedDatasetReader,
-    ShardedDatasetWriter,
-    attach_normalizer,
     generate_dataset,
     is_sharded_store,
     load_dataset,
     save_dataset,
 )
-from repro.datasets.sharded import MANIFEST_NAME, shard_size_for
+from repro.datasets.sharded import (
+    MANIFEST_NAME,
+    file_sha256,
+    shard_size_for,
+    write_shard,
+)
+from repro.testing import faults
+from repro.testing.faults import ENV_PLAN
 from repro.topology import ring_topology
+from tests.format2 import write_format2_store
 
 
 @pytest.fixture(scope="module")
@@ -36,50 +43,72 @@ def normalizer(samples):
     return FeatureNormalizer().fit(samples)
 
 
+def assert_bit_exact(originals, rebuilt):
+    """Every array verbatim (not allclose) and every attribute equal."""
+    assert len(rebuilt) == len(originals)
+    for original, copy in zip(originals, rebuilt):
+        np.testing.assert_array_equal(copy.delays, original.delays)
+        for name in ("jitters", "losses"):
+            if getattr(original, name) is not None:
+                np.testing.assert_array_equal(getattr(copy, name),
+                                              getattr(original, name))
+        np.testing.assert_array_equal(copy.traffic.matrix,
+                                      original.traffic.matrix)
+        assert copy.pair_order == original.pair_order
+        assert copy.routing.node_paths() == original.routing.node_paths()
+        assert copy.queue_sizes() == original.queue_sizes()
+        assert copy.topology.name == original.topology.name
+        assert copy.metadata == original.metadata
+        assert list(copy.topology.links()) == list(original.topology.links())
+
+
+def edit_manifest(store, **changes):
+    path = os.path.join(store, MANIFEST_NAME)
+    with open(path) as handle:
+        manifest = json.load(handle)
+    for key, change in changes.items():
+        manifest[key] = change(manifest[key]) if callable(change) else change
+    with open(path, "w") as handle:
+        json.dump(manifest, handle)
+
+
+def overcount_first_shard(shards):
+    shards[0]["num_samples"] += 1
+    return shards
+
+
 class TestShardedWriterReader:
+    """Store-level behaviour.  Format 2 is no longer written; its cases read
+    stores laid out by :func:`tests.format2.write_format2_store`."""
+
     def test_round_trip_with_shard_rolling(self, tmp_path, samples, normalizer):
-        store = str(tmp_path / "store")
-        with ShardedDatasetWriter(store, shard_size=3, normalizer=normalizer,
-                                  metadata={"purpose": "test"}) as writer:
-            for sample in samples:
-                writer.write(sample)
-            assert writer.num_samples == len(samples)
+        store = write_format2_store(samples, str(tmp_path / "store"), shards=3,
+                                    normalizer=normalizer,
+                                    metadata={"purpose": "test"})
         reader = ShardedDatasetReader(store)
         assert len(reader) == 7
-        assert reader.num_shards == 3  # 3 + 3 + 1
         assert [shard["num_samples"] for shard in reader.shards] == [3, 3, 1]
         assert reader.metadata == {"purpose": "test"}
         assert reader.normalizer.means == normalizer.means
-        loaded = reader.read_all()
-        assert len(loaded) == 7
-        for original, rebuilt in zip(samples, loaded):
-            np.testing.assert_allclose(rebuilt.delays, original.delays)
-            assert rebuilt.pair_order == original.pair_order
-            assert rebuilt.queue_sizes() == original.queue_sizes()
+        # JSON floats survive via repr: format 2 reads back bit-exactly too.
+        assert_bit_exact(samples, reader.read_all())
 
     def test_shard_files_and_manifest_layout(self, tmp_path, samples):
-        store = str(tmp_path / "store")
-        with ShardedDatasetWriter(store, shard_size=4) as writer:
-            for sample in samples:
-                writer.write(sample)
-        names = sorted(os.listdir(store))
-        assert names == [MANIFEST_NAME, "shard-00000.jsonl.gz", "shard-00001.jsonl.gz"]
+        """save_dataset's manifest is exactly the store index, with every
+        shard's checksum stamped from the bytes on disk."""
+        store = save_dataset(samples, str(tmp_path / "store"), shards=2)
         with open(os.path.join(store, MANIFEST_NAME)) as handle:
             manifest = json.load(handle)
-        assert manifest["format_version"] == 2
-        assert manifest["total_samples"] == 7
-        assert manifest["normalizer"] is None
-        # Shards really are one JSON document per line.
-        with gzip.open(os.path.join(store, "shard-00000.jsonl.gz"), "rt") as handle:
-            lines = [line for line in handle if line.strip()]
-        assert len(lines) == 4
-        json.loads(lines[0])
+        assert manifest == {
+            "format_version": 3, "payload": "binary", "metadata": {},
+            "normalizer": None, "total_samples": 7,
+            "shards": [{"name": name, "num_samples": count,
+                        "sha256": file_sha256(os.path.join(store, name))}
+                       for name, count in (("shard-00000.npz", 4),
+                                           ("shard-00001.npz", 3))]}
 
     def test_iteration_matches_read_all_and_restarts(self, tmp_path, samples):
-        store = str(tmp_path / "store")
-        with ShardedDatasetWriter(store, shard_size=2) as writer:
-            for sample in samples:
-                writer.write(sample)
+        store = write_format2_store(samples, str(tmp_path / "store"), shards=4)
         reader = ShardedDatasetReader(store)
         first_pass = [s.delays for s in reader]
         second_pass = [s.delays for s in reader]  # fresh pass per iter()
@@ -87,93 +116,83 @@ class TestShardedWriterReader:
         for a, b in zip(first_pass, second_pass):
             np.testing.assert_array_equal(a, b)
 
-    def test_aborted_writer_leaves_no_manifest(self, tmp_path, samples):
+    def test_aborted_writer_leaves_no_manifest(self, tmp_path, samples,
+                                               monkeypatch):
+        """A save killed inside the second shard's commit (bytes written,
+        not yet renamed) removes the first shard, the temp file and the
+        directory it created."""
+        monkeypatch.setenv(ENV_PLAN, json.dumps(
+            [{"site": "sharded.shard.pre_replace", "kind": "fail",
+              "match": {"name": "shard-00001.npz"}}]))
         store = str(tmp_path / "store")
-        with pytest.raises(RuntimeError):
-            with ShardedDatasetWriter(store, shard_size=10) as writer:
-                writer.write(samples[0])
-                raise RuntimeError("simulated crash")
+        with pytest.raises(faults.InjectedFault):
+            save_dataset(samples, store, shards=3)
         assert not is_sharded_store(store)
-        # No half-written temp shards left behind either.
-        assert [n for n in os.listdir(store) if n.endswith(".tmp")] == []
+        assert os.listdir(tmp_path) == []
         with pytest.raises(FileNotFoundError):
             ShardedDatasetReader(store)
 
     def test_rewrite_is_atomic_at_the_manifest(self, tmp_path, samples):
-        """Rewriting an existing store must keep the old generation fully
+        """Rewriting an existing store keeps the old generation fully
         readable until the new manifest lands: new shards use fresh names,
-        an aborted rewrite leaves the old data untouched, and a committed
-        one swaps the contents and deletes the superseded shard files."""
-        store = str(tmp_path / "store")
-        with ShardedDatasetWriter(store, shard_size=2) as writer:
-            for sample in samples:
-                writer.write(sample)
-        assert len(ShardedDatasetReader(store)) == 7
+        a crashed rewrite leaves the old store intact with no new shard
+        files, and a committed one swaps the contents and deletes the
+        superseded shard files."""
+        store = save_dataset(samples, str(tmp_path / "store"), shards=4)
+        before = sorted(os.listdir(store))
+        mid_rewrite = {}
 
-        # Mid-rewrite (shards already sealed) the old store still reads.
-        rewriter = ShardedDatasetWriter(store, shard_size=1)
-        rewriter.write(samples[0])
-        rewriter.write(samples[1])
-        assert len(ShardedDatasetReader(store)) == 7
-        rewriter.abort()  # simulated crash: old data intact, no new residue
-        assert len(ShardedDatasetReader(store)) == 7
-        assert len([n for n in os.listdir(store)
-                    if n.startswith("shard-")]) == 4
+        class CrashHalfway:
+            def __len__(self):
+                return len(samples)
 
-        with ShardedDatasetWriter(store, shard_size=4) as writer:
-            for sample in samples[:4]:
-                writer.write(sample)
+            def __iter__(self):
+                yield from samples[:4]
+                mid_rewrite["new_files"] = sorted(
+                    set(os.listdir(store)) - set(before))
+                mid_rewrite["old_store"] = ShardedDatasetReader(store).read_all()
+                raise RuntimeError("simulated crash")
+
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            save_dataset(CrashHalfway(), store, shards=7)
+        # Halfway through, new shards were on disk and the old store read.
+        assert len(mid_rewrite["new_files"]) == 4
+        assert_bit_exact(samples, mid_rewrite["old_store"])
+        assert sorted(os.listdir(store)) == before
+        assert_bit_exact(samples, ShardedDatasetReader(store).read_all())
+
+        save_dataset(samples[:4], store, shards=1)
         reader = ShardedDatasetReader(store)
         assert len(reader) == 4
-        # The superseded generation's files were cleaned after the commit.
         on_disk = {n for n in os.listdir(store) if n.startswith("shard-")}
         assert on_disk == {shard["name"] for shard in reader.shards}
 
-    def test_attach_normalizer_after_the_fact(self, tmp_path, samples, normalizer):
-        store = str(tmp_path / "store")
-        with ShardedDatasetWriter(store, shard_size=4) as writer:
-            for sample in samples:
-                writer.write(sample)
-        assert ShardedDatasetReader(store).normalizer is None
-        # The intended streaming flow: fit on a reader pass, then attach.
-        fitted = FeatureNormalizer().fit(ShardedDatasetReader(store))
-        attach_normalizer(store, fitted)
-        assert ShardedDatasetReader(store).normalizer.means == fitted.means
-        assert fitted.means == normalizer.means
-
     def test_truncated_shard_detected(self, tmp_path, samples):
-        store = str(tmp_path / "store")
-        with ShardedDatasetWriter(store, shard_size=4) as writer:
-            for sample in samples:
-                writer.write(sample)
-        manifest_path = os.path.join(store, MANIFEST_NAME)
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        manifest["shards"][0]["num_samples"] += 1
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
+        store = write_format2_store(samples, str(tmp_path / "store"), shards=2)
+        edit_manifest(store, shards=overcount_first_shard)
         with pytest.raises(ValueError, match="truncated or corrupted"):
             list(ShardedDatasetReader(store))
 
-    def test_validation(self, tmp_path):
+    def test_corrupted_shard_refused_naming_it(self, tmp_path, samples):
+        store = write_format2_store(samples, str(tmp_path / "store"), shards=2)
+        faults._corrupt_file(os.path.join(store, "shard-00001.jsonl.gz"))
+        with pytest.raises(ValueError, match="failed checksum") as excinfo:
+            list(ShardedDatasetReader(store))
+        message = str(excinfo.value)
+        assert "shard-00001.jsonl.gz" in message and "sha256" in message
+
+    def test_validation(self, tmp_path, samples):
         with pytest.raises(ValueError):
-            ShardedDatasetWriter(str(tmp_path / "s"), shard_size=0)
+            save_dataset(samples, str(tmp_path / "s"), shards=0)
+        assert os.listdir(tmp_path) == []
         with pytest.raises(ValueError):
             shard_size_for(10, 0)
         assert shard_size_for(7, 3) == 3
         assert shard_size_for(0, 4) == 1
 
     def test_unknown_format_version_rejected(self, tmp_path, samples):
-        store = str(tmp_path / "store")
-        with ShardedDatasetWriter(store, shard_size=4) as writer:
-            for sample in samples:
-                writer.write(sample)
-        manifest_path = os.path.join(store, MANIFEST_NAME)
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        manifest["format_version"] = 9
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
+        store = save_dataset(samples, str(tmp_path / "store"), shards=2)
+        edit_manifest(store, format_version=9)
         with pytest.raises(ValueError) as excinfo:
             ShardedDatasetReader(store)
         # The error must name every supported version and the store path.
@@ -187,51 +206,21 @@ class TestBinaryPayload:
 
     def test_round_trip_is_bit_exact_with_shard_rolling(self, tmp_path, samples,
                                                         normalizer):
-        store = str(tmp_path / "store")
-        with ShardedDatasetWriter(store, shard_size=3, normalizer=normalizer,
-                                  metadata={"purpose": "test"},
-                                  payload="binary") as writer:
-            for sample in samples:
-                writer.write(sample)
-            assert writer.num_samples == len(samples)
+        store = save_dataset(samples, str(tmp_path / "store"), shards=3,
+                             normalizer=normalizer,
+                             metadata={"purpose": "test"})
         reader = ShardedDatasetReader(store)
         assert len(reader) == 7
-        assert reader.num_shards == 3  # 3 + 3 + 1
+        assert [shard["num_samples"] for shard in reader.shards] == [3, 3, 1]
         assert reader.metadata == {"purpose": "test"}
         assert reader.normalizer.means == normalizer.means
-        loaded = reader.read_all()
-        assert len(loaded) == 7
-        for original, rebuilt in zip(samples, loaded):
-            # float64 arrays hit disk verbatim: exact equality, not allclose.
-            np.testing.assert_array_equal(rebuilt.delays, original.delays)
-            if original.jitters is not None:
-                np.testing.assert_array_equal(rebuilt.jitters, original.jitters)
-            if original.losses is not None:
-                np.testing.assert_array_equal(rebuilt.losses, original.losses)
-            np.testing.assert_array_equal(rebuilt.traffic.matrix,
-                                          original.traffic.matrix)
-            assert rebuilt.pair_order == original.pair_order
-            assert rebuilt.routing.node_paths() == original.routing.node_paths()
-            assert rebuilt.queue_sizes() == original.queue_sizes()
-            assert rebuilt.topology.name == original.topology.name
-            assert rebuilt.metadata == original.metadata
-            for link_a, link_b in zip(original.topology.links(),
-                                      rebuilt.topology.links()):
-                assert link_a == link_b
+        # float64 arrays hit disk verbatim: exact equality, not allclose.
+        assert_bit_exact(samples, reader.read_all())
 
     def test_shard_files_and_manifest_layout(self, tmp_path, samples):
-        store = str(tmp_path / "store")
-        with ShardedDatasetWriter(store, shard_size=4,
-                                  payload="binary") as writer:
-            for sample in samples:
-                writer.write(sample)
+        store = save_dataset(samples, str(tmp_path / "store"), shards=2)
         names = sorted(os.listdir(store))
         assert names == [MANIFEST_NAME, "shard-00000.npz", "shard-00001.npz"]
-        with open(os.path.join(store, MANIFEST_NAME)) as handle:
-            manifest = json.load(handle)
-        assert manifest["format_version"] == 3
-        assert manifest["payload"] == "binary"
-        assert manifest["total_samples"] == 7
         # Shards really are npz archives: per-sample key prefixes + meta.
         with np.load(os.path.join(store, "shard-00000.npz"),
                      allow_pickle=False) as archive:
@@ -242,11 +231,7 @@ class TestBinaryPayload:
                 == {"s00000", "s00001", "s00002", "s00003"}
 
     def test_iteration_and_reread(self, tmp_path, samples):
-        store = str(tmp_path / "store")
-        with ShardedDatasetWriter(store, shard_size=2,
-                                  payload="binary") as writer:
-            for sample in samples:
-                writer.write(sample)
+        store = save_dataset(samples, str(tmp_path / "store"), shards=4)
         reader = ShardedDatasetReader(store)
         first_pass = [s.delays for s in reader]
         second_pass = [s.delays for s in reader]
@@ -255,35 +240,36 @@ class TestBinaryPayload:
             np.testing.assert_array_equal(a, b)
 
     def test_truncated_binary_shard_detected(self, tmp_path, samples):
-        store = str(tmp_path / "store")
-        with ShardedDatasetWriter(store, shard_size=4,
-                                  payload="binary") as writer:
-            for sample in samples:
-                writer.write(sample)
-        manifest_path = os.path.join(store, MANIFEST_NAME)
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        manifest["shards"][0]["num_samples"] += 1
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
+        store = save_dataset(samples, str(tmp_path / "store"), shards=2)
+        edit_manifest(store, shards=overcount_first_shard)
         with pytest.raises(ValueError, match="truncated or corrupted"):
             list(ShardedDatasetReader(store))
 
-    def test_payload_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="payload"):
-            ShardedDatasetWriter(str(tmp_path / "s"), payload="parquet")
+    def test_payload_validated(self, tmp_path, samples):
+        """Only npz shards are written, and a job spec asking for the
+        retired JSONL encoding is refused naming it."""
+        with pytest.raises(ValueError, match="npz"):
+            write_shard(str(tmp_path), "shard-00000.jsonl.gz", samples[:1])
+        assert os.listdir(tmp_path) == []
+        spec = DatasetJobSpec(topologies=("ring:4",))
+        assert spec.to_dict()["payload"] == "binary"
+        assert DatasetJobSpec.from_dict(spec.to_dict()) == spec
+        with pytest.raises(ValueError, match="JSONL shard writer"):
+            DatasetJobSpec.from_dict({**spec.to_dict(), "payload": "jsonl"})
 
     def test_save_dataset_binary_round_trips(self, tmp_path, samples,
                                              normalizer):
-        store = save_dataset(samples, str(tmp_path / "store"),
-                             normalizer=normalizer, metadata={"k": 1},
-                             shards=2, shard_payload="binary")
+        """A format-2 store streams into a format-3 one bit-exactly."""
+        legacy = write_format2_store(samples, str(tmp_path / "legacy"),
+                                     shards=2)
+        store = save_dataset(ShardedDatasetReader(legacy),
+                             str(tmp_path / "store"), normalizer=normalizer,
+                             metadata={"k": 1}, shards=2)
         assert is_sharded_store(store)
         loaded, loaded_normalizer, metadata = load_dataset(store)
-        assert len(loaded) == len(samples)
         assert metadata == {"k": 1}
         assert loaded_normalizer.means == normalizer.means
-        np.testing.assert_array_equal(loaded[3].delays, samples[3].delays)
+        assert_bit_exact(samples, loaded)
 
 
 class TestStorageIntegration:
@@ -326,16 +312,26 @@ class TestStorageIntegration:
         assert payload["normalizer"] == normalizer.to_dict()
         assert len(payload["samples"]) == 2
 
-    def test_failed_save_leaves_nothing_behind(self, tmp_path, samples):
+    @pytest.mark.parametrize("shards", [None, 2], ids=["format1", "sharded"])
+    def test_failed_save_leaves_nothing_behind(self, tmp_path, samples, shards):
         class Exploding:
+            def __len__(self):
+                return 3
+
             def __iter__(self):
-                yield samples[0]
+                yield from samples[:2]
                 raise RuntimeError("boom")
 
         target = str(tmp_path / "crash")
         with pytest.raises(RuntimeError, match="boom"):
-            save_dataset(Exploding(), target)
+            save_dataset(Exploding(), target, shards=shards)
         assert os.listdir(tmp_path) == []  # no dataset, no .tmp residue
+        # A manifest (or header) that fails to serialise after the samples
+        # were written leaves nothing either.
+        with pytest.raises(TypeError):
+            save_dataset(samples, target, shards=shards,
+                         metadata={"n": np.int64(3)})
+        assert os.listdir(tmp_path) == []
 
     def test_load_checks_exact_path_before_suffixing(self, tmp_path, samples):
         # A dataset deliberately saved under a suffix-less name must load by

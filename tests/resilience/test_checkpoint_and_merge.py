@@ -3,6 +3,7 @@ the npz, so its rename is the single commit point and the `.json` sidecar
 is only a human-readable mirror) and the merge guard refusing to mix
 simulator versions."""
 
+import dataclasses
 import json
 import os
 
@@ -91,7 +92,7 @@ class TestMergeVersionGuard:
         current = str(tmp_path / "current")
         outdated = str(tmp_path / "outdated")
         run_job(spec, current, workers=1, fit_normalizer=False)
-        run_job(DatasetJobSpec(**{**spec.to_dict(), "seed": 2}), outdated,
+        run_job(dataclasses.replace(spec, seed=2), outdated,
                 workers=1, fit_normalizer=False)
 
         manifest_path = os.path.join(outdated, MANIFEST_NAME)
@@ -114,7 +115,7 @@ class TestMergeVersionGuard:
                               base_config={"small_queue_fraction": 0.5})
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         run_job(spec, a, workers=1, fit_normalizer=False)
-        run_job(DatasetJobSpec(**{**spec.to_dict(), "seed": 2}), b,
+        run_job(dataclasses.replace(spec, seed=2), b,
                 workers=1, fit_normalizer=False)
         status = merge_catalogs([a, b], str(tmp_path / "merged"),
                                 fit_normalizer=False)

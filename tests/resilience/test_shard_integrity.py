@@ -24,12 +24,8 @@ def small_spec(**overrides) -> DatasetJobSpec:
 
 
 def store_contents(path):
-    contents = []
-    for sample in ShardedDatasetReader(path):
-        payload = sample.to_dict()
-        payload["metadata"].pop("sim_wall_seconds", None)
-        contents.append(json.dumps(payload, sort_keys=True))
-    return contents
+    return [json.dumps(sample.to_dict(), sort_keys=True)
+            for sample in ShardedDatasetReader(path)]
 
 
 def shard_digests(path):
@@ -47,16 +43,12 @@ def reference_store(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("payload,shard_name", [
-    ("binary", "unit-000001.npz"),
-    ("jsonl", "unit-000001.jsonl.gz"),
-])
-def test_reader_refuses_a_corrupted_shard_naming_it(tmp_path, payload,
-                                                    shard_name):
-    path = str(tmp_path / payload)
-    assert run_job(small_spec(payload=payload), path, workers=1)["complete"]
+def test_reader_refuses_a_corrupted_shard_naming_it(tmp_path):
+    path = str(tmp_path / "store")
+    assert run_job(small_spec(), path, workers=1)["complete"]
     assert store_contents(path)  # pristine store reads (and verifies) fine
 
+    shard_name = "unit-000001.npz"
     faults._corrupt_file(os.path.join(path, shard_name))
     reader = ShardedDatasetReader(path)
     with pytest.raises(ValueError, match="failed checksum") as excinfo:

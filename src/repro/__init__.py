@@ -14,7 +14,8 @@ depends on:
 * :mod:`repro.baselines` — queueing-theory analytic models.
 * :mod:`repro.datasets` — sample schema, generators, tensorisation, storage.
 * :mod:`repro.models` — the original RouteNet and the paper's Extended
-  RouteNet with a node entity, plus training utilities.
+  RouteNet with a node entity (one message-passing implementation serves
+  both), plus training utilities.
 * :mod:`repro.evaluation` — relative-error CDFs and comparison reports
   (Fig. 2 of the paper).
 

@@ -7,7 +7,7 @@ Installed as the ``repro-net`` console script::
                        --unit-size 64 --output data/geant2-store   # factory
     repro-net status   --dataset data/geant2-store
     repro-net train    --dataset data/geant2 --model extended --output models/ext
-    repro-net evaluate --dataset data/geant2 --model extended --weights models/ext
+    repro-net evaluate --dataset data/geant2 --weights models/ext
     repro-net fig2     --train-samples 40 --eval-samples 15 --epochs 10
 """
 
@@ -31,10 +31,9 @@ from repro.datasets.normalization import FeatureNormalizer
 from repro.datasets.splits import train_val_test_split
 from repro.datasets.storage import load_dataset, save_dataset
 from repro.models.config import RouteNetConfig
-from repro.models.extended import ExtendedRouteNet
-from repro.models.routenet import RouteNet
+from repro.models.routenet import ExtendedRouteNet, RouteNet
 from repro.models.trainer import RouteNetTrainer, TrainerConfig, evaluate_model
-from repro.nn.serialization import load_checkpoint, read_checkpoint_metadata, save_checkpoint
+from repro.nn.serialization import load_parameters, read_checkpoint_metadata, save_checkpoint
 from repro.pipeline import run_fig2_experiment
 from repro.topology.geant2 import geant2_topology
 from repro.topology.generators import random_topology
@@ -168,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = subparsers.add_parser("evaluate", help="evaluate a trained model")
     evaluate.add_argument("--dataset", required=True)
-    evaluate.add_argument("--model", choices=sorted(_MODELS), default="extended")
-    evaluate.add_argument("--weights", required=True)
-    evaluate.add_argument("--state-dim", type=int, default=16)
-    evaluate.add_argument("--iterations", type=int, default=4)
+    evaluate.add_argument("--weights", required=True,
+                          help="checkpoint written by 'train'; the model, "
+                               "state dimension and iteration count it "
+                               "records rebuild the architecture")
     evaluate.add_argument("--dtype", choices=["float32", "float64"], default=None,
                           help="inference precision (default: the dtype recorded "
                                "in the checkpoint metadata, float64 if absent)")
@@ -336,17 +335,23 @@ def _command_train(args: argparse.Namespace) -> int:
 
 def _command_evaluate(args: argparse.Namespace) -> int:
     samples, normalizer, _ = load_dataset(args.dataset)
+    # The checkpoint records the architecture it was trained with.
+    metadata = read_checkpoint_metadata(args.weights)
+    missing = [key for key in ("model", "state_dim", "iterations") if key not in metadata]
+    if missing:
+        raise SystemExit(f"checkpoint '{args.weights}' does not record "
+                         f"{', '.join(missing)}: retrain it with 'train'")
     # Default the precision to whatever the checkpoint was trained at.
-    dtype = args.dtype or read_checkpoint_metadata(args.weights).get("dtype")
-    model = _build_model(args.model, args.state_dim, args.iterations, dtype=dtype,
-                         scan_mode=args.scan_mode)
-    metadata = load_checkpoint(model, args.weights)
+    dtype = args.dtype or metadata.get("dtype")
+    model = _build_model(metadata["model"], metadata["state_dim"], metadata["iterations"],
+                         dtype=dtype, scan_mode=args.scan_mode)
+    load_parameters(model, args.weights)
     if normalizer is None and "normalizer" in metadata:
         normalizer = FeatureNormalizer.from_dict(metadata["normalizer"])
     if normalizer is None:
         raise SystemExit("no normalizer available: regenerate the dataset or retrain")
     metrics = evaluate_model(model, samples, normalizer, dtype=dtype)
-    print(f"model={args.model} paths={metrics['num_paths']}")
+    print(f"model={metadata['model']} paths={metrics['num_paths']}")
     print(f"mean relative error   : {metrics['mean_relative_error']:.4f}")
     print(f"median relative error : {metrics['median_relative_error']:.4f}")
     print(f"MAPE                  : {metrics['mape_percent']:.2f}%")

@@ -19,7 +19,9 @@ class RouteNetConfig:
     link_state_dim / path_state_dim / node_state_dim:
         Sizes of the hidden state vectors of each entity.  The reference
         implementation uses 32/32; the node state was introduced by the
-        paper and defaults to the same size.
+        paper and defaults to the same size.  ``node_state_dim`` is read
+        only by :class:`~repro.models.routenet.ExtendedRouteNet`, which
+        requires it to equal ``link_state_dim``.
     message_passing_iterations:
         Number of rounds ``T`` of the iterative message passing.
     readout_hidden_sizes:

@@ -7,16 +7,20 @@ message-passing iteration:
 * for the **path update**, padded matrices of link / node indices per path
   plus the validity mask (already provided by the tensorised sample);
 * for the **link update**, the flat list of (path, position) entries at
-  which each link appears, so the per-position outputs of the path RNN can
-  be segment-summed into per-link aggregated messages;
+  which each link appears, from which the models segment-sum the path-RNN
+  outputs into per-link messages;
 * for the **node update** (extended model), the flat list of (path, node)
-  incidences so final path states can be summed per node.
+  incidences so final path states can be summed per node
+  (:func:`aggregate_path_states_per_node`);
+* for the streaming and compiled scans, a :class:`ScanPlan` per layout
+  (link-only, or interleaved node/link) that fuses the per-step gathers and
+  the per-link scatter into the scan itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from repro.nn.recurrent import ScanScatter
 from repro.nn.scan_kernels import ScanKernelSpec, compile_scan_spec
 from repro.nn.tensor import DTypeLike, Tensor, gather_segment_sum, resolve_dtype
 
-__all__ = ["MessagePassingIndex", "build_index", "initial_state", "aggregate_positional_messages",
+__all__ = ["MessagePassingIndex", "build_index", "initial_state",
            "aggregate_path_states_per_node", "ScanPlan", "build_scan_plan"]
 
 
@@ -98,33 +102,6 @@ def initial_state(features: np.ndarray, state_dim: int, dtype: DTypeLike = None)
     return Tensor(state)
 
 
-def aggregate_positional_messages(path_rnn_outputs: Tensor, index: MessagePassingIndex,
-                                  target: str) -> Tensor:
-    """Sum the path-RNN outputs at every hop into per-link or per-node messages.
-
-    ``path_rnn_outputs`` has shape (num_paths, max_len, dim); the output of
-    hop ``(p, t)`` is routed to the link (or node) that path ``p`` traverses
-    at position ``t`` and summed per target entity, exactly like
-    ``tf.math.unsorted_segment_sum`` in the reference implementation.
-    """
-    if target == "link":
-        segment_ids = index.entry_link_ids
-        num_segments = index.num_links
-    elif target == "node":
-        segment_ids = index.entry_node_ids
-        num_segments = index.num_nodes
-    else:
-        raise ValueError("target must be 'link' or 'node'")
-    # Fused gather + segment-sum: one autograd node, no intermediate
-    # (num_entries, dim) tensor (or gradient buffer) in the graph.
-    return gather_segment_sum(
-        path_rnn_outputs,
-        (index.entry_path_ids, index.entry_positions),
-        segment_ids,
-        num_segments,
-    )
-
-
 @dataclasses.dataclass
 class ScanPlan:
     """Everything :func:`repro.nn.recurrent.scan_rnn` needs for one sample.
@@ -159,13 +136,13 @@ class ScanPlan:
 
 
 def _per_position_link_scatter(index: MessagePassingIndex, num_steps: int,
-                               stride: int, offset: int) -> ScanScatter:
+                               stride: int) -> ScanScatter:
     """Split the flat (path, position, link) entries into per-step groups.
 
     Entry at path position ``p`` becomes an output emission at scan step
-    ``p * stride + offset`` — stride 1/offset 0 for the plain link sequence,
-    stride 2/offset 1 for the interleaved node-link sequence where link
-    outputs appear at odd steps.
+    ``p * stride + stride - 1`` — every step of the plain link sequence
+    (stride 1), the odd steps of the interleaved node-link sequence
+    (stride 2).
     """
     rows = [None] * num_steps
     segment_ids = [None] * num_steps
@@ -176,7 +153,7 @@ def _per_position_link_scatter(index: MessagePassingIndex, num_steps: int,
     unique_positions, starts = np.unique(positions, return_index=True)
     ends = np.append(starts[1:], positions.size)
     for position, start, stop in zip(unique_positions, starts, ends):
-        step = int(position) * stride + offset
+        step = int(position) * stride + stride - 1
         rows[step] = path_ids[start:stop]
         segment_ids[step] = link_ids[start:stop]
     return ScanScatter(rows=rows, segment_ids=segment_ids,
@@ -197,24 +174,19 @@ def build_scan_plan(sample: TensorizedSample, index: MessagePassingIndex,
     cached = index._scan_plans.get(key)
     if cached is not None:
         return cached
-    max_len = sample.max_path_length
-    if not interleaved:
-        plan = ScanPlan(
-            step_sources=np.zeros(max_len, dtype=np.int64),
-            step_rows=sample.link_sequences,
-            mask=sample.sequence_mask,
-            scatter=_per_position_link_scatter(index, max_len, stride=1, offset=0),
-        )
-    else:
-        step_rows = np.empty((sample.num_paths, 2 * max_len), dtype=np.int64)
-        step_rows[:, 0::2] = sample.node_sequences
-        step_rows[:, 1::2] = sample.link_sequences
-        plan = ScanPlan(
-            step_sources=np.tile(np.array([0, 1], dtype=np.int64), max_len),
-            step_rows=step_rows,
-            mask=np.repeat(sample.sequence_mask, 2, axis=1),
-            scatter=_per_position_link_scatter(index, 2 * max_len, stride=2, offset=1),
-        )
+    hop_rows = ((sample.node_sequences, sample.link_sequences) if interleaved
+                else (sample.link_sequences,))
+    stride = len(hop_rows)
+    num_steps = stride * sample.max_path_length
+    step_rows = np.empty((sample.num_paths, num_steps), dtype=np.int64)
+    for source, rows in enumerate(hop_rows):
+        step_rows[:, source::stride] = rows
+    plan = ScanPlan(
+        step_sources=np.tile(np.arange(stride, dtype=np.int64), sample.max_path_length),
+        step_rows=step_rows,
+        mask=np.repeat(sample.sequence_mask, stride, axis=1),
+        scatter=_per_position_link_scatter(index, num_steps, stride),
+    )
     index._scan_plans[key] = plan
     return plan
 

@@ -7,7 +7,7 @@ TensorFlow/PyTorch (which are not available offline).  It provides:
   over NumPy arrays.
 * Layers (:mod:`repro.nn.layers`) and recurrent cells
   (:mod:`repro.nn.recurrent`) sufficient to express RouteNet and the
-  Extended RouteNet architectures (dense layers, GRU/LSTM cells).
+  Extended RouteNet architectures (dense layers, the GRU cell).
 * Optimisers (:mod:`repro.nn.optimizers`), losses (:mod:`repro.nn.losses`)
   and evaluation metrics (:mod:`repro.nn.metrics`).
 * Training history and early stopping (:mod:`repro.nn.training`), and
@@ -36,7 +36,7 @@ from repro.nn.tensor import (
 from repro.nn import functional
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import Dense, Dropout, Embedding, LayerNorm, Sequential
-from repro.nn.recurrent import GRUCell, LSTMCell, RNNCellBase, ScanScatter, scan_rnn
+from repro.nn.recurrent import GRUCell, RNNCellBase, ScanScatter, scan_rnn
 from repro.nn.optimizers import (
     SGD,
     Adam,
@@ -95,7 +95,6 @@ __all__ = [
     "LayerNorm",
     "Sequential",
     "GRUCell",
-    "LSTMCell",
     "RNNCellBase",
     "ScanScatter",
     "scan_rnn",

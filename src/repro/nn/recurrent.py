@@ -1,4 +1,4 @@
-"""Recurrent cells (GRU, LSTM) and sequence-scan helpers.
+"""The GRU recurrent cell and sequence-scan helpers.
 
 RouteNet's message passing uses recurrent cells in two roles:
 
@@ -7,9 +7,9 @@ RouteNet's message passing uses recurrent cells in two roles:
 * as the *path update*, which reads an ordered sequence of link (and, in the
   extended architecture, node) states along each path.
 
-Both roles are covered by the cell classes here together with
-:func:`run_rnn_over_sequence`, which scans a cell over a padded batch of
-sequences with a mask.
+Both roles use :class:`GRUCell`.  :func:`run_rnn_over_sequence` scans a
+cell over a padded batch of sequences with a mask; :func:`scan_rnn` is the
+streaming scan that gathers its inputs and scatters its outputs per step.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from repro.nn.tensor import (
     no_grad,
 )
 
-__all__ = ["RNNCellBase", "GRUCell", "LSTMCell", "run_rnn_over_sequence",
-           "ScanScatter", "scan_rnn"]
+__all__ = ["RNNCellBase", "GRUCell", "run_rnn_over_sequence", "ScanScatter", "scan_rnn"]
 
 
 class RNNCellBase(Module):
@@ -96,54 +95,6 @@ class GRUCell(RNNCellBase):
         reset_gate = (gates_x[:, hidden:2 * hidden] + gates_h[:, hidden:2 * hidden]).sigmoid()
         candidate = (gates_x[:, 2 * hidden:] + reset_gate * gates_h[:, 2 * hidden:]).tanh()
         return (1.0 - update_gate) * candidate + update_gate * state
-
-
-class LSTMCell(RNNCellBase):
-    """Long short-term memory cell.
-
-    The state is the concatenation ``[h, c]`` of the hidden and cell states so
-    the interface matches :class:`GRUCell` (a single state tensor); use
-    :meth:`split_state` to recover the two halves.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__(input_size, hidden_size)
-        generator = rng if rng is not None else np.random.default_rng()
-        self.weight_input = Parameter(
-            glorot_uniform((input_size, 4 * hidden_size), rng=generator), name="weight_input")
-        self.weight_hidden = Parameter(
-            orthogonal((hidden_size, 4 * hidden_size), rng=generator), name="weight_hidden")
-        self.bias = Parameter(zeros_init((4 * hidden_size,)), name="bias")
-
-    def initial_state(self, batch_size: int) -> Tensor:
-        return Tensor(np.zeros((batch_size, 2 * self.hidden_size), dtype=self.param_dtype))
-
-    @staticmethod
-    def split_state(state: Tensor) -> Tuple[Tensor, Tensor]:
-        """Split the packed ``[h, c]`` state into ``(h, c)``."""
-        hidden = state.shape[-1] // 2
-        return state[:, :hidden], state[:, hidden:]
-
-    def forward(self, inputs: Tensor, state: Tensor) -> Tensor:
-        inputs = as_tensor(inputs)
-        state = as_tensor(state)
-        hidden = self.hidden_size
-        h_prev, c_prev = self.split_state(state)
-
-        gates = inputs.matmul(self.weight_input) + h_prev.matmul(self.weight_hidden) + self.bias
-        input_gate = gates[:, :hidden].sigmoid()
-        forget_gate = gates[:, hidden:2 * hidden].sigmoid()
-        output_gate = gates[:, 2 * hidden:3 * hidden].sigmoid()
-        candidate = gates[:, 3 * hidden:].tanh()
-
-        c_new = forget_gate * c_prev + input_gate * candidate
-        h_new = output_gate * c_new.tanh()
-        return F.concat([h_new, c_new], axis=1)
-
-    def hidden_output(self, state: Tensor) -> Tensor:
-        """Return the hidden half of the packed state (the cell's output)."""
-        return self.split_state(state)[0]
 
 
 def run_rnn_over_sequence(
@@ -272,7 +223,7 @@ def scan_rnn(
         Optional :class:`~repro.nn.scan_kernels.ScanKernelSpec` precompiled
         from the same ``(step_sources, step_rows, mask, scatter)`` via
         :func:`~repro.nn.scan_kernels.compile_scan_spec`.  When given and
-        the cell has a compiled step kernel (GRU/LSTM), the scan runs
+        the cell has a compiled step kernel (GRU), the scan runs
         through the raw-NumPy kernel executor instead of the interpreted
         per-step tape; cells without a kernel fall back to the interpreted
         scan transparently.

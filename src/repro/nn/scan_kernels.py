@@ -3,9 +3,9 @@
 The interpreted :func:`repro.nn.recurrent.scan_rnn` re-enters the autograd
 tape at every hop: each step gathers its input rows, builds a small Tensor
 subgraph through the cell, and scatters outputs with ``np.add.at``.  For the
-known cells (GRU/LSTM) nothing in that subgraph is dynamic — the whole scan
-is a fixed pipeline of BLAS calls and index moves once the (topology, bucket)
-is known.  This module compiles that pipeline:
+GRU cell nothing in that subgraph is dynamic — the whole scan is a fixed
+pipeline of BLAS calls and index moves once the (topology, bucket) is known.
+This module compiles that pipeline:
 
 * :func:`compile_scan_spec` turns the per-step index arrays of a
   :class:`~repro.models.message_passing.ScanPlan` into a
@@ -14,9 +14,8 @@ is known.  This module compiles that pipeline:
   ``np.add.reduceat`` over presorted segments instead of ``np.add.at``.
   Specs are built once per (topology, bucket) and memoised on the plan.
 * :func:`compile_step_kernel` wraps a :class:`~repro.nn.recurrent.GRUCell`
-  or :class:`~repro.nn.recurrent.LSTMCell` in a step kernel exposing the
-  cell maths as raw-NumPy forward and closed-form VJP routines that write
-  into caller-provided buffers.
+  in a step kernel exposing the cell maths as raw-NumPy forward and
+  closed-form VJP routines that write into caller-provided buffers.
 * :func:`run_compiled_scan` executes the spec: the input projection
   ``source @ W_in + bias`` is hoisted out of the step loop (one BLAS call
   per source per scan, amortised over every hop that reads it), each step is
@@ -26,7 +25,7 @@ is known.  This module compiles that pipeline:
   per-source projection-gradient matrix and are folded into the weight,
   bias and source gradients with one matmul each at the end of the scan.
 
-Cells other than GRU/LSTM fall back to the interpreted scan transparently
+Other cells fall back to the interpreted scan transparently
 (:func:`compile_step_kernel` returns ``None`` for them).
 """
 
@@ -51,7 +50,6 @@ __all__ = [
     "compile_step_kernel",
     "run_compiled_scan",
     "GRUStepKernel",
-    "LSTMStepKernel",
 ]
 
 
@@ -82,7 +80,6 @@ class GRUStepKernel:
         self.weight_hidden = cell.weight_hidden
         self.bias = cell.bias
         self.gate_width = 3 * cell.hidden_size
-        self.state_width = cell.hidden_size
         self._dgh_scratch: Optional[np.ndarray] = None
 
     def project(self, source: np.ndarray) -> np.ndarray:
@@ -135,86 +132,12 @@ class GRUStepKernel:
         weight_hidden_grad += state.T @ dgh
 
 
-class LSTMStepKernel:
-    """Raw-NumPy LSTM step over a pre-projected input (packed ``[h, c]`` state)."""
-
-    def __init__(self, cell) -> None:
-        self.cell = cell
-        self.hidden = cell.hidden_size
-        self.weight_input = cell.weight_input
-        self.weight_hidden = cell.weight_hidden
-        self.bias = cell.bias
-        self.gate_width = 4 * cell.hidden_size
-        self.state_width = 2 * cell.hidden_size
-
-    def project(self, source: np.ndarray) -> np.ndarray:
-        return source @ self.weight_input.data + self.bias.data
-
-    def _gates(self, gx: np.ndarray, state: np.ndarray):
-        hidden = self.hidden
-        h_prev = state[:, :hidden]
-        gates = gx + h_prev @ self.weight_hidden.data
-        input_gate = _stable_sigmoid(gates[:, :hidden])
-        forget_gate = _stable_sigmoid(gates[:, hidden:2 * hidden])
-        output_gate = _stable_sigmoid(gates[:, 2 * hidden:3 * hidden])
-        candidate = np.tanh(gates[:, 3 * hidden:])
-        return input_gate, forget_gate, output_gate, candidate
-
-    def step(self, gx: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
-        hidden = self.hidden
-        c_prev = state[:, hidden:]
-        input_gate, forget_gate, output_gate, candidate = self._gates(gx, state)
-        h_out = out[:, :hidden]
-        c_out = out[:, hidden:]
-        np.multiply(forget_gate, c_prev, out=c_out)
-        c_out += input_gate * candidate
-        np.tanh(c_out, out=h_out)
-        h_out *= output_gate
-        return out
-
-    def step_backward(self, gx: np.ndarray, state: np.ndarray, d_new: np.ndarray,
-                      dgx_out: np.ndarray, d_prev_out: np.ndarray,
-                      weight_hidden_grad: np.ndarray) -> None:
-        hidden = self.hidden
-        weight_hidden = self.weight_hidden.data
-        h_prev = state[:, :hidden]
-        c_prev = state[:, hidden:]
-        input_gate, forget_gate, output_gate, candidate = self._gates(gx, state)
-        c_new = forget_gate * c_prev + input_gate * candidate
-        tanh_c = np.tanh(c_new)
-
-        d_hidden = d_new[:, :hidden]
-        d_cell_ext = d_new[:, hidden:]
-        d_cell = d_cell_ext + d_hidden * output_gate * (1.0 - tanh_c * tanh_c)
-
-        d_input = dgx_out[:, :hidden]
-        d_forget = dgx_out[:, hidden:2 * hidden]
-        d_output = dgx_out[:, 2 * hidden:3 * hidden]
-        d_candidate = dgx_out[:, 3 * hidden:]
-        np.multiply(d_cell, candidate, out=d_input)
-        d_input *= input_gate * (1.0 - input_gate)
-        np.multiply(d_cell, c_prev, out=d_forget)
-        d_forget *= forget_gate * (1.0 - forget_gate)
-        np.multiply(d_hidden, tanh_c, out=d_output)
-        d_output *= output_gate * (1.0 - output_gate)
-        np.multiply(d_cell, input_gate, out=d_candidate)
-        d_candidate *= 1.0 - candidate * candidate
-
-        # The LSTM's input and recurrent paths share the same pre-activation
-        # gates, so dgx doubles as the recurrent gate gradient.
-        np.matmul(dgx_out, weight_hidden.T, out=d_prev_out[:, :hidden])
-        np.multiply(d_cell, forget_gate, out=d_prev_out[:, hidden:])
-        weight_hidden_grad += h_prev.T @ dgx_out
-
-
 def compile_step_kernel(cell):
     """Return a step kernel for ``cell``, or ``None`` if it has no compiled form."""
     from repro.nn import recurrent
 
     if type(cell) is recurrent.GRUCell:
         return GRUStepKernel(cell)
-    if type(cell) is recurrent.LSTMCell:
-        return LSTMStepKernel(cell)
     return None
 
 

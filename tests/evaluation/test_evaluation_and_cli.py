@@ -1,10 +1,15 @@
 """Tests for the evaluation helpers (error CDFs, reports) and the CLI."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.datasets import load_dataset
 from repro.evaluation import ErrorCDF, compare_cdfs, format_cdf_table, format_metrics_table
+from repro.models import RouteNet, RouteNetConfig, evaluate_model
+from repro.nn.serialization import load_parameters
 
 
 class TestErrorCDF:
@@ -96,9 +101,40 @@ class TestCLI:
         assert main(["train", "--dataset", dataset_path, "--model", "extended",
                      "--epochs", "2", "--state-dim", "6", "--iterations", "2",
                      "--output", checkpoint_path]) == 0
-        assert main(["evaluate", "--dataset", dataset_path, "--model", "extended",
-                     "--state-dim", "6", "--iterations", "2",
+        assert main(["evaluate", "--dataset", dataset_path,
                      "--weights", checkpoint_path]) == 0
+
+    def test_evaluate_rebuilds_the_recorded_architecture(self, tmp_path, capsys):
+        """``evaluate`` takes model, state dim and iterations from the
+        checkpoint, and refuses a checkpoint that does not record them."""
+        dataset_path = str(tmp_path / "dataset")
+        checkpoint_path = str(tmp_path / "model")
+        assert main(["generate", "--topology", "nsfnet", "--samples", "6",
+                     "--seed", "1", "--output", dataset_path]) == 0
+        assert main(["train", "--dataset", dataset_path, "--model", "original",
+                     "--epochs", "2", "--state-dim", "8", "--iterations", "2",
+                     "--output", checkpoint_path]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", dataset_path,
+                     "--weights", checkpoint_path]) == 0
+        printed = capsys.readouterr().out
+
+        model = RouteNet(RouteNetConfig(link_state_dim=8, path_state_dim=8,
+                                        node_state_dim=8, message_passing_iterations=2))
+        load_parameters(model, checkpoint_path + ".npz")
+        samples, normalizer, _ = load_dataset(dataset_path)
+        metrics = evaluate_model(model, samples, normalizer)
+        assert printed.startswith("model=original ")
+        assert f"mean relative error   : {metrics['mean_relative_error']:.4f}" in printed
+
+        sidecar = checkpoint_path + ".json"
+        with open(sidecar, encoding="utf-8") as handle:
+            metadata = json.load(handle)
+        del metadata["iterations"]
+        with open(sidecar, "w", encoding="utf-8") as handle:
+            json.dump(metadata, handle)
+        with pytest.raises(SystemExit, match="does not record iterations"):
+            main(["evaluate", "--dataset", dataset_path, "--weights", checkpoint_path])
 
     def test_generate_random_topology(self, tmp_path):
         dataset_path = str(tmp_path / "random-dataset")

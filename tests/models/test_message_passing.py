@@ -6,7 +6,6 @@ import pytest
 from repro.datasets import AnalyticGroundTruth, FeatureNormalizer, tensorize_sample
 from repro.models.message_passing import (
     aggregate_path_states_per_node,
-    aggregate_positional_messages,
     build_index,
     initial_state,
 )
@@ -67,31 +66,6 @@ class TestInitialState:
 
 
 class TestAggregation:
-    def test_positional_messages_sum_per_link(self):
-        sample, tensorized = _tensorized(linear_topology(3))
-        index = build_index(tensorized)
-        num_paths, max_len = tensorized.link_sequences.shape
-        # Outputs equal to one everywhere: each link should accumulate exactly
-        # the number of paths traversing it.
-        outputs = Tensor(np.ones((num_paths, max_len, 2)))
-        aggregated = aggregate_positional_messages(outputs, index, target="link")
-        counts = np.bincount(index.entry_link_ids, minlength=index.num_links)
-        np.testing.assert_allclose(aggregated.data[:, 0], counts)
-
-    def test_positional_messages_per_node(self):
-        sample, tensorized = _tensorized(linear_topology(3))
-        index = build_index(tensorized)
-        outputs = Tensor(np.ones((tensorized.num_paths, tensorized.max_path_length, 1)))
-        aggregated = aggregate_positional_messages(outputs, index, target="node")
-        counts = np.bincount(index.entry_node_ids, minlength=index.num_nodes)
-        np.testing.assert_allclose(aggregated.data[:, 0], counts)
-
-    def test_invalid_target(self):
-        _, tensorized = _tensorized(linear_topology(3))
-        index = build_index(tensorized)
-        with pytest.raises(ValueError):
-            aggregate_positional_messages(Tensor(np.ones((1, 1, 1))), index, target="router")
-
     def test_path_states_per_node_counts(self):
         sample, tensorized = _tensorized(linear_topology(3))
         index = build_index(tensorized)
@@ -102,13 +76,3 @@ class TestAggregation:
         expected = len(sample.routing.paths_through_node(1)) - sum(
             1 for pair in sample.routing.pairs() if pair[1] == 1)
         assert aggregated.data[1, 0] == pytest.approx(expected)
-
-    def test_gradients_flow_through_aggregation(self):
-        _, tensorized = _tensorized(ring_topology(4))
-        index = build_index(tensorized)
-        outputs = Tensor(np.random.default_rng(0).normal(
-            size=(tensorized.num_paths, tensorized.max_path_length, 2)), requires_grad=True)
-        aggregated = aggregate_positional_messages(outputs, index, target="link")
-        (aggregated ** 2).sum().backward()
-        assert outputs.grad is not None
-        assert np.abs(outputs.grad).sum() > 0

@@ -2,7 +2,7 @@
 
 Complements ``test_tensor_autograd.py`` (float64-only, structural cases):
 here every differentiable Tensor operation, the functional activations, the
-fused masked-update nodes and both recurrent cells are verified against
+fused masked-update nodes and the GRU cell are verified against
 float64 central differences in **float64 and float32**, and their outputs
 are required to carry the requested dtype (catching silent upcasts).
 """
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.recurrent import GRUCell, LSTMCell, run_rnn_over_sequence
+from repro.nn.recurrent import GRUCell, run_rnn_over_sequence
 from repro.nn.tensor import (
     Tensor,
     concat,
@@ -154,15 +154,6 @@ def test_gru_cell_gradients(dtype):
     module_gradcheck(
         lambda: GRUCell(3, 4, rng=np.random.default_rng(0)),
         [RNG.normal(size=(5, 3)), RNG.normal(size=(5, 4))],
-        dtype=dtype,
-    )
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-def test_lstm_cell_gradients(dtype):
-    module_gradcheck(
-        lambda: LSTMCell(3, 4, rng=np.random.default_rng(1)),
-        [RNG.normal(size=(5, 3)), RNG.normal(size=(5, 8))],
         dtype=dtype,
     )
 

@@ -6,7 +6,7 @@ import pytest
 from repro import nn
 from repro.nn import functional as F
 from repro.nn.layers import MLP, Dense, Dropout, Embedding, LayerNorm, Sequential, get_activation
-from repro.nn.recurrent import GRUCell, LSTMCell, run_rnn_over_sequence
+from repro.nn.recurrent import GRUCell, run_rnn_over_sequence
 from repro.nn.tensor import Tensor
 
 RNG = np.random.default_rng(11)
@@ -192,28 +192,6 @@ class TestGRUCell:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             GRUCell(0, 4)
-
-
-class TestLSTMCell:
-    def test_packed_state_shapes(self):
-        cell = LSTMCell(3, 5, rng=RNG)
-        state = cell.initial_state(4)
-        assert state.shape == (4, 10)
-        new_state = cell(Tensor(RNG.normal(size=(4, 3))), state)
-        assert new_state.shape == (4, 10)
-        h, c = cell.split_state(new_state)
-        assert h.shape == (4, 5) and c.shape == (4, 5)
-
-    def test_hidden_output(self):
-        cell = LSTMCell(2, 3, rng=RNG)
-        state = cell(Tensor(RNG.normal(size=(1, 2))), cell.initial_state(1))
-        np.testing.assert_allclose(cell.hidden_output(state).data, state.data[:, :3])
-
-    def test_gradients(self):
-        cell = LSTMCell(2, 3, rng=RNG)
-        state = cell(Tensor(RNG.normal(size=(2, 2))), cell.initial_state(2))
-        state.sum().backward()
-        assert cell.weight_input.grad is not None
 
 
 class TestSequenceScan:

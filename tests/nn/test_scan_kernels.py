@@ -5,8 +5,8 @@
 raw-NumPy step kernels whose backward is a hand-derived closed-form VJP.
 That VJP is held against
 
-* float64 central differences (the reusable gradcheck harness) for both
-  cell types and both supported precisions, over plain and interleaved
+* float64 central differences (the reusable gradcheck harness) for the
+  GRU cell in both supported precisions, over plain and interleaved
   multi-source plans, with the loss reaching both outputs or only one;
 * the interpreted streaming scan itself — forward values and every
   gradient must agree within rounding on the same spec;
@@ -29,7 +29,6 @@ from repro.nn.initializers import glorot_uniform
 from repro.nn.module import Parameter
 from repro.nn.recurrent import (
     GRUCell,
-    LSTMCell,
     RNNCellBase,
     ScanScatter,
     scan_rnn,
@@ -86,8 +85,7 @@ def _make_cell_factory(cell_cls, hidden: int):
 
 
 def _initial_state(cell_cls, hidden: int, num_paths: int = NUM_PATHS) -> np.ndarray:
-    state_size = 2 * hidden if cell_cls is LSTMCell else hidden
-    return np.random.default_rng(11).normal(size=(num_paths, state_size)) * 0.4
+    return np.random.default_rng(11).normal(size=(num_paths, hidden)) * 0.4
 
 
 def _source_array(seed: int = 5) -> np.ndarray:
@@ -98,9 +96,9 @@ def _source_array(seed: int = 5) -> np.ndarray:
 # Central-difference gradchecks through the compiled executor
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3), (LSTMCell, 2)])
+@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3)])
 def test_compiled_scan_gradcheck_both_outputs(cell_cls, hidden, dtype):
-    """Closed-form VJPs vs float64 central differences, both cell types."""
+    """Closed-form VJPs vs float64 central differences."""
     spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS, MASK, SCATTER)
 
     def forward(cell, source, initial):
@@ -148,7 +146,7 @@ def test_compiled_scan_gradcheck_no_scatter(dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3), (LSTMCell, 2)])
+@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3)])
 def test_compiled_scan_gradcheck_interleaved(cell_cls, hidden, dtype):
     """Alternating gather sources (the extended model's schedule shape)."""
     step_sources = np.array([0, 1, 0, 1], dtype=np.int64)
@@ -234,7 +232,7 @@ def _run_both_modes(cell_cls, hidden, step_sources, step_rows, mask, scatter):
     (MASK, SCATTER),
     (MASK_WITH_GAP, SCATTER_WITH_GAP),
 ], ids=["ragged", "all-invalid-step"])
-@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3), (LSTMCell, 2)])
+@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3)])
 def test_compiled_matches_interpreted(cell_cls, hidden, mask, scatter):
     """Compiled forward values and all gradients match the interpreted scan."""
     compiled, interpreted = _run_both_modes(cell_cls, hidden, STEP_SOURCES,

@@ -4,8 +4,8 @@
 checkpoint-and-recompute formulation fused with the per-step aggregation.
 Its hand-written joint backward is held against
 
-* float64 central differences (via the reusable gradcheck harness) for both
-  cell types and both supported precisions, covering input, initial-state
+* float64 central differences (via the reusable gradcheck harness) for the
+  GRU cell in both supported precisions, covering input, initial-state
   and parameter gradients;
 * the stacked reference formulation (``run_rnn_over_sequence`` +
   ``gather_segment_sum``) which the rest of the suite already verifies —
@@ -23,7 +23,6 @@ import pytest
 from repro.nn import functional as F
 from repro.nn.recurrent import (
     GRUCell,
-    LSTMCell,
     ScanScatter,
     run_rnn_over_sequence,
     scan_rnn,
@@ -84,8 +83,7 @@ def _make_cell_factory(cell_cls, hidden: int):
 
 
 def _initial_state(cell_cls, hidden: int) -> np.ndarray:
-    state_size = 2 * hidden if cell_cls is LSTMCell else hidden
-    return np.random.default_rng(11).normal(size=(NUM_PATHS, state_size)) * 0.4
+    return np.random.default_rng(11).normal(size=(NUM_PATHS, hidden)) * 0.4
 
 
 def _source_array() -> np.ndarray:
@@ -96,7 +94,7 @@ def _source_array() -> np.ndarray:
 # Central-difference gradchecks (inputs, initial state and parameters)
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3), (LSTMCell, 2)])
+@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3)])
 def test_scan_rnn_gradcheck_both_outputs(cell_cls, hidden, dtype):
     """Joint backward vs float64 central differences, loss over both outputs."""
 
@@ -160,7 +158,7 @@ def test_scan_rnn_gradcheck_two_sources_interleaved(dtype):
 # --------------------------------------------------------------------- #
 # Equivalence with the stacked formulation
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3), (LSTMCell, 2)])
+@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3)])
 def test_scan_rnn_matches_stacked_forward_and_gradients(cell_cls, hidden):
     """Streaming forward values and all gradients match the stacked scan."""
 

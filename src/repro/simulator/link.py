@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque, Optional
 
 from repro.simulator.engine import Simulator
 from repro.simulator.packet import Packet
@@ -20,6 +21,14 @@ class Link:
     node).  Waiting packets are held in a :class:`DropTailQueue` whose size
     is the *source node's* queue size — the per-device feature the extended
     model learns.
+
+    Each packet costs two events, both bound methods with no closure: the
+    end of serialisation (:meth:`_finish_transmission`, which reads the
+    packet from ``_transmitting``) and the arrival at the far end
+    (:meth:`_arrive`, which pops ``_in_flight``).  Serialisations finish
+    strictly one after another and the propagation delay is constant, so
+    arrivals happen in transmission order and a FIFO of in-flight packets
+    is enough.
     """
 
     def __init__(
@@ -47,16 +56,14 @@ class Link:
         self.queue = queue if queue is not None else DropTailQueue(queue_capacity)
         self.deliver = deliver
         self.busy = False
+        self._transmitting: Optional[Packet] = None
+        self._in_flight: Deque[Packet] = deque()
         # Statistics
         self.packets_sent = 0
         self.bits_sent = 0.0
         self.busy_time = 0.0
 
     # ------------------------------------------------------------------ #
-    def transmission_time(self, packet: Packet) -> float:
-        """Serialisation delay of ``packet`` on this link."""
-        return packet.size_bits / self.capacity
-
     def send(self, packet: Packet) -> bool:
         """Accept a packet for transmission.
 
@@ -64,29 +71,36 @@ class Link:
         otherwise it joins the queue.  Returns False when the queue is full
         and the packet is dropped.
         """
-        now = self.simulator.now
         if not self.busy:
             self._start_transmission(packet)
             return True
-        return self.queue.enqueue(packet, now)
+        return self.queue.enqueue(packet, self.simulator.now)
 
     def _start_transmission(self, packet: Packet) -> None:
         self.busy = True
-        duration = self.transmission_time(packet)
+        self._transmitting = packet
+        size_bits = packet.size_bits
+        duration = size_bits / self.capacity
         self.busy_time += duration
         self.packets_sent += 1
-        self.bits_sent += packet.size_bits
-        self.simulator.schedule(duration, lambda: self._finish_transmission(packet))
+        self.bits_sent += size_bits
+        self.simulator.schedule(duration, self._finish_transmission)
 
-    def _finish_transmission(self, packet: Packet) -> None:
+    def _finish_transmission(self) -> None:
         # The wire is free as soon as the last bit leaves; propagation happens
         # "in flight" and does not block the next transmission.
-        self.simulator.schedule(self.propagation_delay, lambda: self.deliver(packet))
-        next_packet = self.queue.dequeue(self.simulator.now)
+        simulator = self.simulator
+        self._in_flight.append(self._transmitting)
+        simulator.schedule(self.propagation_delay, self._arrive)
+        next_packet = self.queue.dequeue(simulator.now)
         if next_packet is None:
             self.busy = False
+            self._transmitting = None
         else:
             self._start_transmission(next_packet)
+
+    def _arrive(self) -> None:
+        self.deliver(self._in_flight.popleft())
 
     # ------------------------------------------------------------------ #
     def utilization(self, elapsed: Optional[float] = None) -> float:

@@ -89,6 +89,7 @@ class NetworkSimulation:
         self._recorders: Dict[Tuple[int, int], FlowRecorder] = {}
         self._nodes: Dict[int, RouterNode] = {}
         self._links: Dict[int, Link] = {}
+        self._first_links: Dict[Tuple[int, int], Link] = {}
         self._measuring = False
         self._build()
 
@@ -136,6 +137,9 @@ class NetworkSimulation:
         for src, dst, rate in self.traffic.pairs():
             if not self.routing.has_path(src, dst):
                 raise ValueError(f"traffic for pair ({src},{dst}) has no route")
+            # The packet leaves the source host through the first link of its path.
+            path = self.routing.path(src, dst)
+            self._first_links[(src, dst)] = self._nodes[path[0]].output_link(path[1])
             flow_rng = np.random.default_rng(self._rng.integers(0, 2 ** 63 - 1))
             priorities = self.config.flow_priorities or {}
             source = source_cls(
@@ -156,15 +160,12 @@ class NetworkSimulation:
     # Packet callbacks
     # ------------------------------------------------------------------ #
     def _inject(self, packet: Packet) -> None:
+        flow = packet.flow
         if self._measuring:
-            self._recorders[packet.flow].record_sent()
-        packet.record_hop(packet.source)
-        # The packet leaves the source host through the first link of its path.
-        path = self.routing.path(*packet.flow)
-        first_link = self._nodes[path[0]].output_link(path[1])
-        accepted = first_link.send(packet)
-        if not accepted and self._measuring:
-            self._recorders[packet.flow].record_dropped()
+            self._recorders[flow].record_sent()
+        packet.hops.append(flow[0])
+        if not self._first_links[flow].send(packet) and self._measuring:
+            self._recorders[flow].record_dropped()
 
     def _handle_delivery(self, packet: Packet) -> None:
         if not self._measuring or packet.created_at < self._measurement_start:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Tuple
 
 from repro.simulator.link import Link
 from repro.simulator.packet import Packet
@@ -15,7 +15,9 @@ class RouterNode:
 
     A packet arriving at the router is either delivered locally (when the
     router is the packet's destination) or forwarded on the output link
-    towards ``forwarding_table[destination]``.  Forwarding is assumed to take
+    that :meth:`set_route` installed for the packet's flow (a table from
+    ``(source, destination)`` straight to the :class:`Link`, so forwarding
+    is one dictionary lookup).  Forwarding is assumed to take
     negligible processing time compared to transmission and propagation, as
     in the paper's simulator.
     """
@@ -28,7 +30,7 @@ class RouterNode:
         self._on_delivered = on_delivered
         self._on_dropped = on_dropped
         self._output_links: Dict[int, Link] = {}
-        self._forwarding_table: Dict[tuple, int] = {}
+        self._routes: Dict[Tuple[int, int], Link] = {}
         # Statistics
         self.packets_received = 0
         self.packets_forwarded = 0
@@ -48,9 +50,10 @@ class RouterNode:
         Forwarding is per-flow (not merely per-destination) so that routing
         schemes with non-destination-based paths remain simulable.
         """
-        if int(next_hop) not in self._output_links:
+        link = self._output_links.get(int(next_hop))
+        if link is None:
             raise KeyError(f"node {self.node_id} has no output link to {next_hop}")
-        self._forwarding_table[(int(flow[0]), int(flow[1]))] = int(next_hop)
+        self._routes[(int(flow[0]), int(flow[1]))] = link
 
     def output_link(self, neighbor: int) -> Link:
         """The output link towards ``neighbor``."""
@@ -61,28 +64,24 @@ class RouterNode:
     # ------------------------------------------------------------------ #
     def receive(self, packet: Packet) -> None:
         """Handle a packet arriving at this router."""
+        node_id = self.node_id
         self.packets_received += 1
-        packet.record_hop(self.node_id)
-        if packet.destination == self.node_id:
+        packet.hops.append(node_id)
+        flow = packet.flow
+        if flow[1] == node_id:
             self.packets_delivered += 1
             self._on_delivered(packet)
             return
-        next_hop = self._lookup(packet)
-        if next_hop is None:
+        link = self._routes.get(flow)
+        if link is None:
             self.packets_dropped += 1
             packet.dropped = True
-            self._on_dropped(packet, self.node_id)
-            return
-        link = self._output_links[next_hop]
-        accepted = link.send(packet)
-        if accepted:
+            self._on_dropped(packet, node_id)
+        elif link.send(packet):
             self.packets_forwarded += 1
         else:
             self.packets_dropped += 1
-            self._on_dropped(packet, self.node_id)
-
-    def _lookup(self, packet: Packet) -> Optional[int]:
-        return self._forwarding_table.get((packet.source, packet.destination))
+            self._on_dropped(packet, node_id)
 
     def __repr__(self) -> str:
         return f"RouterNode(id={self.node_id}, queue_size={self.queue_size})"

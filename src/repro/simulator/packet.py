@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 __all__ = ["Packet"]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Packet:
     """A single packet of one source-destination flow.
 
@@ -56,7 +56,3 @@ class Packet:
         if self.delivered_at is None:
             return None
         return self.delivered_at - self.created_at
-
-    def record_hop(self, node: int) -> None:
-        """Append a visited node to the trace."""
-        self.hops.append(int(node))

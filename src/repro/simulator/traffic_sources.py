@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -17,9 +16,11 @@ DEFAULT_PACKET_SIZE_BITS = 8000.0
 
 
 class TrafficSource:
-    """Base class: emits packets of one flow into a sink callable."""
+    """Base class: emits packets of one flow into a sink callable.
 
-    _id_counter = itertools.count()
+    Packet ids come from the simulator's ``packet_ids`` counter, so they
+    are unique per simulation and start at 0 in every one.
+    """
 
     def __init__(
         self,
@@ -63,7 +64,7 @@ class TrafficSource:
 
     def _emit(self) -> None:
         packet = Packet(
-            packet_id=next(TrafficSource._id_counter),
+            packet_id=next(self.simulator.packet_ids),
             flow=self.flow,
             size_bits=max(self._packet_size(), 1.0),
             created_at=self.simulator.now,

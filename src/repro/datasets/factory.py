@@ -17,8 +17,8 @@ seed-semantics difference from the legacy serial loop, which threads a
 single RNG through every sample.)
 
 **Execution** — :func:`run_job` executes the pending units, either
-in-process or on a farm of worker processes (the fork/spawn + pipe
-protocol of :mod:`repro.nn.parallel`).  Every worker runs whole units end
+in-process or on a farm of worker processes (the supervised worker
+lifecycle of :mod:`repro.supervision`).  Every worker runs whole units end
 to end and commits each as **one shard file** via
 :func:`repro.datasets.sharded.write_shard` (temp + ``os.replace``), so a
 killed run leaves only whole units on disk.
@@ -40,9 +40,10 @@ deterministic sample order regardless of worker count.
 :func:`run_job` and ``repro-net status`` prints :func:`job_status`.
 
 **Fault tolerance** — the farm is supervised (see :mod:`repro.supervision`):
-a worker that dies or hangs past its task timeout is reaped and respawned,
-and its unit is re-queued — safe because unit content is a pure function of
-``[job_seed, unit_index]``.  A unit that keeps failing is retried up to
+a worker that fails to start makes the run raise once the workers already
+started are reaped; one that dies or hangs past its task timeout is reaped
+and respawned, and its unit is re-queued — safe because unit content is a
+pure function of ``[job_seed, unit_index]``.  A unit that keeps failing is retried up to
 ``max_retries`` extra times (every execution counts into the catalog's
 per-unit ``attempts``) and then **quarantined**: its status and traceback
 land in the catalog, the run completes and reports it instead of aborting.
@@ -60,12 +61,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import multiprocessing as mp
 import os
-import pickle
 import shutil
 import time
 import traceback
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,10 +83,13 @@ from repro.datasets.sharded import (
     write_shard,
 )
 from repro.supervision import (
+    LIVENESS_TICK,
     RestartBudget,
     SupervisedWorker,
     SupervisionPolicy,
     WorkerDied,
+    serve,
+    start_farm,
 )
 from repro.testing.faults import fault_point, log_execution
 from repro.topology.geant2 import geant2_topology
@@ -479,12 +482,6 @@ def _load_units_state(spec: DatasetJobSpec, path: str,
     return restored, manifest
 
 
-def _mark_done(state: dict, record: dict) -> None:
-    state.update(record)
-    state["status"] = "done"
-    state.pop("error", None)
-
-
 def _mark_quarantined(state: dict, error: str) -> None:
     """A unit that exhausted its retries: recorded, skipped, reported."""
     state["status"] = "quarantined"
@@ -593,98 +590,43 @@ def _release_commit_lock(path: str) -> None:
 # Execution layer
 # ---------------------------------------------------------------------- #
 
-def _factory_worker_main(conn, payload: bytes) -> None:
-    """Worker loop: re-derive the unit list from the pickled spec, then
-    execute whole units on request.
+def _factory_worker_main(conn, rank: int, spec: DatasetJobSpec,
+                         path: str) -> None:
+    """Worker process: re-derive the unit list from the spec, then execute
+    whole units on request.
 
-    Protocol (parent → worker): ``("unit", index)`` or ``("close",)``;
-    replies ``("done", index, record)`` / ``("failed", index, traceback)``.
-    The worker writes its shard itself — only the small provenance record
-    travels back over the pipe.
+    Served by :func:`repro.supervision.serve`: ``("unit", index)`` is
+    answered ``("ok", record)``.  The worker writes its shard itself — only
+    the small provenance record travels back over the pipe.
     """
-    try:
-        spec, path = pickle.loads(payload)
+    def make_handler():
         units = expand_units(spec)
-    except Exception:  # noqa: BLE001 - report instead of dying mute
-        conn.send(("error", traceback.format_exc()))
-        conn.close()
-        return
-    conn.send(("ready",))
-    try:
-        while True:
-            message = conn.recv()
-            if message[0] == "unit":
-                index = message[1]
-                try:
-                    record = execute_unit(spec, units[index], path)
-                    conn.send(("done", index, record))
-                except Exception:  # noqa: BLE001 - ship the traceback
-                    conn.send(("failed", index, traceback.format_exc()))
-            elif message[0] == "close":
-                break
-            else:
-                conn.send(("error", f"unknown message kind {message[0]!r}"))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+        return lambda message: (execute_unit(spec, units[message[1]], path),)
+
+    serve(conn, rank, make_handler)
 
 
 def _run_units_parallel(spec: DatasetJobSpec, path: str, pending: List[int],
-                        states: Dict[int, dict], workers: int,
-                        commit: Callable[[], None],
-                        progress: Optional[Callable[[int, int, int], None]],
-                        start_method: Optional[str],
-                        policy: SupervisionPolicy,
-                        budget: RestartBudget,
+                        workers: int, policy: SupervisionPolicy,
                         try_take: Callable[[int], bool],
-                        finish: Callable[[int], None],
+                        complete: Callable[[int, dict], None],
                         handle_failure: Callable[[int, str], bool]) -> None:
     """Farm pending units out to supervised workers, dynamically scheduled.
 
     Units are handed out one at a time as workers free up (units can have
     very different costs — simulation duration and topology size are sweep
-    axes), and the manifest is committed after every completed unit so an
+    axes); ``complete(index, record)`` commits each finished unit, so an
     interrupted run keeps everything already finished.
 
-    Supervision: a worker that dies or blows its per-unit deadline is
-    reaped and respawned (spending ``budget``) and its unit goes through
+    A worker that dies or blows its per-unit deadline is respawned
+    (spending the run's restart budget) and its unit goes through
     ``handle_failure`` — re-queued at the front (the replacement's RNG
     stream makes the rerun bit-identical) or quarantined once its retries
     are spent.  ``try_take(index)`` is the dispatch gate (claim files +
-    adopted-progress check); ``finish(index)`` runs on success or
-    quarantine (claim release).
+    adopted-progress check).
     """
-    if start_method is None:
-        available = mp.get_all_start_methods()
-        start_method = "fork" if "fork" in available else "spawn"
-    context = mp.get_context(start_method)
-    payload = pickle.dumps((spec, path))
-    count = min(workers, len(pending))
-
-    def spawn(rank: int):
-        parent_conn, child_conn = context.Pipe()
-        process = context.Process(target=_factory_worker_main,
-                                  args=(child_conn, payload), daemon=True)
-        process.start()
-        child_conn.close()
-        try:
-            reply = parent_conn.recv()
-        except (EOFError, OSError) as error:
-            raise RuntimeError(
-                f"factory worker {rank} died during start-up "
-                f"({error!r})") from error
-        if reply[0] == "error":
-            raise RuntimeError(
-                f"factory worker {rank} failed to start:\n{reply[1]}")
-        return process, parent_conn
-
+    budget = RestartBudget(policy.max_restarts)
     queue = list(pending)
-    done_count = 0
-    total = len(pending)
     farm: List[SupervisedWorker] = []
     #: rank -> (unit index, absolute deadline or None)
     in_flight: Dict[int, Tuple[int, Optional[float]]] = {}
@@ -700,31 +642,27 @@ def _run_units_parallel(spec: DatasetJobSpec, path: str, pending: List[int],
                     worker.send(("unit", index))
                     break
                 except WorkerDied as error:
-                    budget.spend(str(error))
-                    worker.respawn()
+                    worker.respawn(budget, str(error))
             in_flight[worker.rank] = (index, policy.deadline())
             return
 
     def recover(rank: int, reason: str) -> None:
         """Respawn a dead/hung worker; route its unit through retry."""
         index, _ = in_flight.pop(rank)
-        budget.spend(reason)
-        farm[rank].respawn()  # reaps first — a hung process is killed
+        farm[rank].respawn(budget, reason)  # kills a hung process first
         if handle_failure(index, reason):
             queue.insert(0, index)  # retry promptly (claim is still held)
         dispatch(farm[rank])
 
     try:
-        farm = [SupervisedWorker(rank, spawn) for rank in range(count)]
+        farm = start_farm(min(workers, len(pending)), "factory",
+                          _factory_worker_main, (spec, path))
         for worker in farm:
             dispatch(worker)
         while in_flight:
             by_conn = {farm[rank].conn: rank for rank in in_flight}
-            ready = mp.connection.wait(list(by_conn),
-                                       timeout=policy.poll_interval)
-            for conn in ready:
+            for conn in wait(list(by_conn), timeout=LIVENESS_TICK):
                 rank = by_conn[conn]
-                worker = farm[rank]
                 index, _ = in_flight[rank]
                 try:
                     reply = conn.recv()
@@ -733,21 +671,11 @@ def _run_units_parallel(spec: DatasetJobSpec, path: str, pending: List[int],
                                   f"generating unit {index} ({error!r})")
                     continue
                 in_flight.pop(rank)
-                kind = reply[0]
-                if kind == "done":
-                    _mark_done(states[reply[1]], reply[2])
-                    done_count += 1
-                    # Commit, then release the claim (see the serial path).
-                    commit()
-                    finish(reply[1])
-                    if progress is not None:
-                        progress(reply[1], done_count, total)
-                elif kind == "failed":
-                    if handle_failure(reply[1], reply[2]):
-                        queue.insert(0, reply[1])
-                else:
-                    raise RuntimeError(f"unexpected worker reply {kind!r}")
-                dispatch(worker)
+                if reply[0] == "ok":
+                    complete(index, reply[1])
+                elif handle_failure(index, reply[1]):
+                    queue.insert(0, index)
+                dispatch(farm[rank])
             now = time.monotonic()
             for rank in list(in_flight):
                 index, deadline = in_flight[rank]
@@ -761,7 +689,7 @@ def _run_units_parallel(spec: DatasetJobSpec, path: str, pending: List[int],
                                   "hung")
     finally:
         for worker in farm:
-            worker.close(farewell=("close",))
+            worker.close()
 
 
 def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
@@ -769,10 +697,9 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
             progress: Optional[Callable[[int, int, int], None]] = None,
             fit_normalizer: bool = True,
             metadata: Optional[dict] = None,
-            start_method: Optional[str] = None,
             max_retries: int = 2,
             task_timeout: Optional[float] = None,
-            max_restarts: Optional[int] = None,
+            max_restarts: int = 8,
             claim_ttl: float = 3600.0) -> dict:
     """Execute a job spec's pending units into the store at ``path``.
 
@@ -780,7 +707,10 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
     ----------
     workers:
         Worker processes; 1 executes units in-process (identical output —
-        unit content never depends on the execution engine).
+        unit content never depends on the execution engine).  If a worker
+        fails to start, the workers already started are reaped and the
+        error raised; the catalog is committed first, so a ``resume`` run
+        picks the job up.
     resume:
         Continue a store already holding this job's catalog: only units
         that are missing, quarantined, whose shard file has disappeared,
@@ -803,7 +733,7 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
         Seconds one unit may run on a worker before the worker is presumed
         hung, killed and respawned (``None`` disables).
     max_restarts:
-        Worker respawns this run may spend before giving up (default 8).
+        Worker respawns this run may spend before giving up.
     claim_ttl:
         Seconds after which another run's unit claim counts as stale and
         is taken over (its holder presumed dead).
@@ -816,9 +746,9 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    policy = SupervisionPolicy(
-        task_timeout=task_timeout, max_retries=max_retries,
-        max_restarts=8 if max_restarts is None else max_restarts)
+    policy = SupervisionPolicy(task_timeout=task_timeout,
+                               max_retries=max_retries,
+                               max_restarts=max_restarts)
     os.makedirs(path, exist_ok=True)
     units_state, previous_manifest = _load_units_state(spec, path, resume)
     states = {state["index"]: state for state in units_state}
@@ -890,6 +820,20 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
             held_claims.discard(index)
             _release_claim(path, index)
 
+    def complete(index: int, record: dict) -> None:
+        """Mark a unit done, commit, release its claim, report progress."""
+        nonlocal done_count
+        states[index].update(record, status="done")
+        states[index].pop("error", None)
+        done_count += 1
+        # Commit before releasing the claim: once the claim is gone a
+        # concurrent resume may take the unit, and only the committed
+        # manifest tells it the work is already done.
+        commit()
+        finish(index)
+        if progress is not None:
+            progress(index, done_count, len(pending))
+
     def handle_failure(index: int, error: str) -> bool:
         """Retry (True) or quarantine (False) a failed execution."""
         if attempts_this_run.get(index, 0) <= policy.max_retries:
@@ -902,6 +846,7 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
         return False
 
     attempts_this_run: Dict[int, int] = {}
+    done_count = 0
     pending = [state["index"] for state in units_state
                if state["status"] != "done"]
     if limit is not None:
@@ -915,8 +860,6 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
         commit()
         if workers == 1:
             units = expand_units(spec)
-            total = len(pending)
-            done_count = 0
             queue = list(pending)
             while queue:
                 index = queue.pop(0)
@@ -924,28 +867,16 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
                     continue
                 try:
                     record = execute_unit(spec, units[index], path)
-                except KeyboardInterrupt:
-                    raise
                 except Exception:  # noqa: BLE001 - retry, then quarantine
                     if handle_failure(index, traceback.format_exc()):
                         queue.insert(0, index)
                     continue
-                _mark_done(states[index], record)
-                done_count += 1
-                # Commit before releasing the claim: once the claim is gone
-                # a concurrent resume may take the unit, and only the
-                # committed manifest tells it the work is already done.
-                commit()
-                finish(index)
-                if progress is not None:
-                    progress(index, done_count, total)
+                complete(index, record)
         else:
-            _run_units_parallel(spec, path, pending, states, workers, commit,
-                                progress, start_method, policy,
-                                RestartBudget(policy.max_restarts),
-                                try_take, finish, handle_failure)
+            _run_units_parallel(spec, path, pending, workers, policy,
+                                try_take, complete, handle_failure)
     except BaseException:
-        # Unrecoverable (restart budget, spawn failure, interrupt): flush
+        # Unrecoverable (restart budget, start-up failure, interrupt): flush
         # what finished so the crashed run resumes from its last commit.
         try:
             commit()
@@ -956,8 +887,8 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
         for index in list(held_claims):
             finish(index)
 
-    complete = all(state["status"] == "done" for state in units_state)
-    if complete and fit_normalizer:
+    if fit_normalizer and all(state["status"] == "done"
+                              for state in units_state):
         normalizer = FeatureNormalizer().fit(ShardedDatasetReader(path))
         commit(normalizer=normalizer)
     return job_status(path)
@@ -1046,9 +977,13 @@ def merge_catalogs(sources: Sequence[str], output: str,
     still tells exactly which job, seed path and config produced every
     shard.  Shards are copied byte for byte, so a source's legacy
     gzipped-JSONL (format-2) shards keep reading — the reader dispatches its
-    decoder per shard file.  Sources may **not** mix simulator versions: mixing
-    samples produced by different generator/simulator code would silently
-    poison the merged store's provenance, so mismatched
+    decoder per shard file.  A unit whose shard SHA-256 matches a unit
+    already merged is skipped — shard bytes are a pure function of (spec,
+    unit index, simulator version), so it holds the same samples; units
+    without a recorded checksum are always copied.  Sources may **not** mix
+    simulator versions: mixing samples produced by different
+    generator/simulator code would silently poison the merged store's
+    provenance, so mismatched
     ``simulator_version`` values are refused with an error naming each
     source's version.  Returns the merged store's :func:`job_status`.
     """
@@ -1062,6 +997,7 @@ def merge_catalogs(sources: Sequence[str], output: str,
     shards: List[dict] = []
     jobs = []
     versions = set()
+    merged_hashes = set()
     source_versions: List[Tuple[str, object]] = []
     for source in sources:
         if not is_sharded_store(source):
@@ -1087,6 +1023,8 @@ def merge_catalogs(sources: Sequence[str], output: str,
         for state in catalog.get("units", []):
             if state.get("status") != "done" or not state.get("shard"):
                 continue
+            if state.get("sha256") in merged_hashes:
+                continue  # content-identical to a unit already merged
             extension = state["shard"][state["shard"].index("."):]
             new_index = len(merged_units)
             new_name = f"unit-{new_index:06d}{extension}"
@@ -1102,6 +1040,7 @@ def merge_catalogs(sources: Sequence[str], output: str,
                      "num_samples": state["written_samples"]}
             if state.get("sha256"):  # the copy has the same bytes
                 shard["sha256"] = state["sha256"]
+                merged_hashes.add(state["sha256"])
             shards.append(shard)
     if not merged_units:
         raise ValueError("no completed units found in the source stores")

@@ -44,11 +44,12 @@ messages (the streaming trainer, whose batches exist only transiently).
 
 Fault tolerance
 ---------------
-The pool supervises its workers (see :mod:`repro.supervision`): a worker
-that dies or exceeds its per-task timeout is reaped and an identical
-replacement is spawned from the same pickled payload and shared parameter
-buffer, the batch cache is re-uploaded, and every message the dead worker
-had not answered is re-sent in order.  Recovery happens inside
+The workers live the supervised lifecycle of :mod:`repro.supervision`.
+If one fails to start, the pool raises after reaping the ones already
+started.  A worker that dies or exceeds its per-task timeout is reaped and
+an identical replacement is spawned from the same pickled payload and
+shared parameter buffer, the batch cache is re-uploaded, and every message
+the dead worker had not answered is re-sent in order.  Recovery happens inside
 :meth:`collect_group`, before the group is complete, so the parameter
 buffer still holds the group's parameters and the replacement recomputes
 exactly the same gradients — a recovered run is **bit-identical** to a
@@ -61,9 +62,7 @@ would only fail again).
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import pickle
-import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,11 +71,14 @@ from repro.nn.losses import huber_loss, mse_loss
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.supervision import (
+    CONTEXT,
     RestartBudget,
     SupervisedWorker,
     SupervisionPolicy,
     WorkerDied,
     WorkerTimedOut,
+    serve,
+    start_farm,
 )
 from repro.testing.faults import fault_point
 
@@ -143,59 +145,40 @@ def _replicate(model: Module) -> Module:
 
 def _worker_main(conn, rank: int, payload: bytes, param_buffer,
                  param_dtype: str, param_count: int) -> None:
-    """Worker process loop: cache batches, answer gradient requests.
+    """Worker process: cache batches, answer gradient requests.
 
-    Protocol (parent → worker):
-      ``("batches", [TensorizedSample, ...])``  replace the cached shard;
+    Messages (parent → worker), served by :func:`repro.supervision.serve`:
+      ``("batches", [TensorizedSample, ...])``  replace the cached batches;
       ``("step", batch_index)``                 read the parameters from the
                                                 shared buffer, compute on a
                                                 cached batch;
-      ``("step_payload", batch)``               same, on a shipped batch;
-      ``("close",)``                            exit.
-    Replies: ``("ok", ...)`` or ``("error", traceback_string)``.
+      ``("step_payload", batch)``               same, on a shipped batch.
+    Replies: ``("ok", count)`` and ``("ok", gradient, loss, num_paths)``.
     """
-    try:
+    def make_handler():
         model, loss_name = pickle.loads(payload)
-    except Exception:  # noqa: BLE001 - report the failure instead of dying mute
-        conn.send(("error", traceback.format_exc()))
-        conn.close()
-        return
-    conn.send(("ok",))
-    # A view into the shared buffer; load_parameters_vector copies per
-    # parameter, so nothing in the model aliases the buffer afterwards.
-    params = np.frombuffer(param_buffer, dtype=param_dtype, count=param_count)
-    batches: list = []
-    steps_handled = 0
-    try:
-        while True:
-            message = conn.recv()
-            kind = message[0]
+        # A view into the shared buffer; load_parameters_vector copies per
+        # parameter, so nothing in the model aliases the buffer afterwards.
+        params = np.frombuffer(param_buffer, dtype=param_dtype,
+                               count=param_count)
+        batches: list = []
+        steps_handled = 0
+
+        def handle(message):
+            nonlocal batches, steps_handled
+            kind, work = message
             if kind == "batches":
-                batches = list(message[1])
-                conn.send(("ok", len(batches)))
-            elif kind in ("step", "step_payload"):
-                try:
-                    _, work = message
-                    fault_point("pool.step.start", rank=rank,
-                                step=steps_handled)
-                    steps_handled += 1
-                    model.load_parameters_vector(params)
-                    batch = batches[work] if kind == "step" else work
-                    result = _compute_gradient(model, batch, loss_name)
-                    conn.send(("ok",) + result)
-                except Exception:  # noqa: BLE001 - ship the traceback to the parent
-                    conn.send(("error", traceback.format_exc()))
-            elif kind == "close":
-                break
-            else:
-                conn.send(("error", f"unknown message kind {kind!r}"))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+                batches = list(work)
+                return (len(batches),)
+            fault_point("pool.step.start", rank=rank, step=steps_handled)
+            steps_handled += 1
+            model.load_parameters_vector(params)
+            batch = batches[work] if kind == "step" else work
+            return _compute_gradient(model, batch, loss_name)
+
+        return handle
+
+    serve(conn, rank, make_handler)
 
 
 class _ExecutorBase:
@@ -333,86 +316,44 @@ class GradientWorkerPool(_ExecutorBase):
         Number of worker processes (≥ 1).
     loss:
         ``"mse"`` or ``"huber"`` — must match the trainer's loss.
-    start_method:
-        ``multiprocessing`` start method; default ``"fork"`` where available
-        (near-instant worker start) falling back to ``"spawn"``.
-    supervision:
-        The fault-tolerance policy (see the module docstring).  ``None``
-        uses the defaults: no task timeout, a restart budget of 8.
     task_timeout:
-        Convenience override for ``supervision.task_timeout`` — seconds one
-        gradient task may run before its worker is presumed hung, killed
-        and respawned.  ``None`` (default) disables the timeout.
+        Seconds one gradient task may run before its worker is presumed
+        hung, killed and respawned.  ``None`` (default) disables the
+        timeout.  Respawns draw on a restart budget of 8 per pool.
+
+    If a worker fails to start, the workers already started are reaped and
+    the start-up error raised (the trainer then falls back to the serial
+    backend).
     """
 
     def __init__(self, model: Module, num_workers: int = 1, loss: str = "mse",
-                 start_method: Optional[str] = None,
-                 supervision: Optional[SupervisionPolicy] = None,
                  task_timeout: Optional[float] = None) -> None:
         super().__init__()
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
         self.num_workers = num_workers
-        if supervision is None:
-            supervision = SupervisionPolicy()
-        if task_timeout is not None:
-            supervision = SupervisionPolicy(
-                task_timeout=task_timeout,
-                max_retries=supervision.max_retries,
-                max_restarts=supervision.max_restarts,
-                poll_interval=supervision.poll_interval)
-        self.supervision = supervision
-        self._restart_budget = RestartBudget(supervision.max_restarts)
-        if start_method is None:
-            available = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in available else "spawn"
-        self._context = mp.get_context(start_method)
-        self._payload = pickle.dumps((model, loss))
+        self._policy = SupervisionPolicy(task_timeout=task_timeout)
+        self._restart_budget = RestartBudget(self._policy.max_restarts)
         # The parameter broadcast buffer (see the module docstring).
         template = model.parameters_vector()
         self._param_dtype = template.dtype
         self._param_count = int(template.size)
-        self._param_buffer = self._context.RawArray(
+        self._param_buffer = CONTEXT.RawArray(
             "b", max(1, self._param_count * self._param_dtype.itemsize))
         #: Messages sent to each worker whose reply has not yet arrived,
         #: in send order — exactly what must be re-dispatched after a
         #: respawn ("batches" uploads are re-sent from _last_batches
         #: instead, so they are not tracked here).
-        self._outstanding: Dict[int, List[tuple]] = {}
+        self._outstanding: Dict[int, List[tuple]] = {
+            rank: [] for rank in range(num_workers)}
         self._last_batches: Optional[list] = None
-        self._workers: List[SupervisedWorker] = []
-        try:
-            # Start-up failures propagate (the trainer degrades to the
-            # serial backend); the restart budget only covers later faults.
-            self._workers = [SupervisedWorker(rank, self._spawn_worker)
-                             for rank in range(num_workers)]
-            self._outstanding = {rank: [] for rank in range(num_workers)}
-        except BaseException:
-            self.close()
-            raise
+        # The restart budget covers only faults after start-up.
+        self._workers: List[SupervisedWorker] = start_farm(
+            num_workers, "gradient", _worker_main,
+            (pickle.dumps((model, loss)), self._param_buffer,
+             self._param_dtype.str, self._param_count))
 
     # ------------------------------------------------------------------ #
-    def _spawn_worker(self, rank: int):
-        """Start worker ``rank`` and complete its ready handshake."""
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_worker_main,
-            args=(child_conn, rank, self._payload, self._param_buffer,
-                  self._param_dtype.str, self._param_count),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        try:
-            reply = parent_conn.recv()
-        except (EOFError, OSError) as error:
-            raise RuntimeError(
-                f"gradient worker {rank} died during start-up "
-                f"({error!r})") from error
-        if reply[0] == "error":
-            raise RuntimeError(
-                f"gradient worker {rank} failed to start:\n{reply[1]}")
-        return process, parent_conn
-
     def _recover(self, rank: int, reason: str) -> None:
         """Replace a dead/hung worker and re-dispatch its unanswered work.
 
@@ -425,14 +366,11 @@ class GradientWorkerPool(_ExecutorBase):
         """
         worker = self._workers[rank]
         while True:
-            self._restart_budget.spend(reason)
-            worker.respawn()
+            worker.respawn(self._restart_budget, reason)
             try:
                 if self._last_batches is not None:
                     worker.send(("batches", self._last_batches))
-                    reply = worker.recv_within(
-                        self.supervision.deadline(),
-                        self.supervision.poll_interval)
+                    reply = worker.recv_within(self._policy.deadline())
                     if reply[0] == "error":  # pragma: no cover - upload bug
                         raise RuntimeError(
                             f"gradient worker {rank} rejected its batch "
@@ -455,8 +393,7 @@ class GradientWorkerPool(_ExecutorBase):
             worker = self._workers[rank]
             try:
                 reply = worker.recv_within(
-                    self.supervision.deadline(tasks_queued),
-                    self.supervision.poll_interval)
+                    self._policy.deadline(tasks_queued))
             except (WorkerDied, WorkerTimedOut) as error:
                 self._recover(rank, str(error))
                 continue
@@ -465,9 +402,6 @@ class GradientWorkerPool(_ExecutorBase):
             if reply[0] == "error":
                 raise RuntimeError(
                     f"gradient worker {rank} failed:\n{reply[1]}")
-            if reply[0] != "ok":  # pragma: no cover - protocol violation
-                raise RuntimeError(
-                    f"unexpected reply from worker {rank}: {reply[0]!r}")
             return reply
 
     def _send_tracked(self, rank: int, message: tuple) -> None:
@@ -498,8 +432,7 @@ class GradientWorkerPool(_ExecutorBase):
                 continue
             worker = self._workers[rank]
             try:
-                reply = worker.recv_within(self.supervision.deadline(),
-                                           self.supervision.poll_interval)
+                reply = worker.recv_within(self._policy.deadline())
             except (WorkerDied, WorkerTimedOut) as error:
                 self._recover(rank, str(error))
                 continue
@@ -563,7 +496,7 @@ class GradientWorkerPool(_ExecutorBase):
     def close(self) -> None:
         """Shut the workers down (best effort, safe to call repeatedly)."""
         for worker in self._workers:
-            worker.close(farewell=("close",))
+            worker.close()
         self._workers = []
         self._outstanding = {}
 
@@ -576,7 +509,6 @@ class GradientWorkerPool(_ExecutorBase):
 
 def make_gradient_executor(model: Module, num_workers: int, loss: str = "mse",
                            backend: str = "process",
-                           start_method: Optional[str] = None,
                            task_timeout: Optional[float] = None):
     """Build the gradient execution engine for data-parallel training.
 
@@ -589,7 +521,6 @@ def make_gradient_executor(model: Module, num_workers: int, loss: str = "mse",
     """
     if backend == "process":
         return GradientWorkerPool(model, num_workers, loss=loss,
-                                  start_method=start_method,
                                   task_timeout=task_timeout)
     if backend == "serial":
         return SerialGradientExecutor(model, num_workers, loss=loss)

@@ -1,24 +1,24 @@
-"""Shared worker-farm resilience layer: liveness, timeouts, respawn.
+"""Shared worker-farm lifecycle: start-up, serving, liveness, respawn.
 
-Both long-running process farms in this codebase — the gradient worker
-pool of :mod:`repro.nn.parallel` and the dataset-factory farm of
-:mod:`repro.datasets.factory` — speak the same low-level dialect: a
-parent holds one pipe per worker process, sends small task messages and
-waits for replies.  Before this module, any worker death was fatal to the
-whole run (and a hung worker blocked it forever).  This module factors
-out the machinery both farms need to *survive* those faults:
+Both process farms in this codebase — the gradient worker pool of
+:mod:`repro.nn.parallel` and the dataset-factory farm of
+:mod:`repro.datasets.factory` — start, serve, respawn and reap their
+workers through this module; each farm keeps only its scheduling.
 
-* :class:`SupervisedWorker` wraps one (process, pipe) pair behind a
-  ``spawn`` callable, so the worker can be **reaped and respawned** with
-  identical start-up state after a crash.  Liveness is tracked by
-  polling: a worker whose process has exited with no pending pipe data is
-  dead; one that exceeds its task deadline is hung (and gets killed).
-* :class:`RestartBudget` bounds how many respawns a farm may spend before
-  giving up — a crash loop (e.g. the OOM killer reaping every replacement)
-  must eventually surface as an error instead of burning CPU forever.
-* :class:`SupervisionPolicy` carries the knobs (task timeout, per-task
-  retry bound, restart budget, poll interval) through both farms and the
-  CLI.
+* :func:`serve` is the worker side of the one protocol: a start-up
+  handshake, then one ``("ok", ...)`` or ``("error", traceback)`` reply
+  per message until ``("close",)``.
+* :class:`SupervisedWorker` is the parent side of one worker: a process
+  started from :data:`CONTEXT` plus its pipe.  Liveness is polled: a
+  worker whose process has exited with no pending pipe data is dead; one
+  that exceeds its task deadline is hung (and gets killed).
+  :meth:`~SupervisedWorker.respawn` reaps it and starts an identical
+  replacement, spending a :class:`RestartBudget` — a crash loop (e.g. the
+  OOM killer reaping every replacement) must eventually surface as an
+  error instead of burning CPU forever.
+* :func:`start_farm` starts a farm; if a worker fails to start, the ones
+  already running are reaped before the error propagates.
+* :class:`SupervisionPolicy` carries the per-run fault-tolerance settings.
 
 Determinism note: supervision never changes *what* is computed.  Both
 farms re-dispatch exactly the work the dead worker held — the gradient
@@ -30,17 +30,35 @@ a recovered run is bit-identical to a fault-free one.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing as mp
 import time
-from typing import Callable, Optional, Tuple
+import traceback
+from typing import Callable, List, Optional, Sequence
+
+from repro.testing.faults import fault_point
 
 __all__ = [
+    "CONTEXT",
+    "LIVENESS_TICK",
     "SupervisionPolicy",
     "SupervisedWorker",
     "RestartBudget",
     "WorkerDied",
     "WorkerTimedOut",
     "RestartBudgetExceeded",
+    "serve",
+    "start_farm",
 ]
+
+#: The context every worker process starts from: fork where the platform
+#: has it (near-instant start), else spawn.
+try:
+    CONTEXT = mp.get_context("fork")
+except ValueError:  # pragma: no cover - platforms without fork
+    CONTEXT = mp.get_context("spawn")
+
+#: Seconds between liveness and deadline checks while a parent waits.
+LIVENESS_TICK = 0.2
 
 
 class WorkerDied(RuntimeError):
@@ -57,7 +75,7 @@ class RestartBudgetExceeded(RuntimeError):
 
 @dataclasses.dataclass
 class SupervisionPolicy:
-    """Fault-tolerance knobs shared by the training and factory farms.
+    """Fault-tolerance settings shared by the training and factory farms.
 
     Attributes
     ----------
@@ -72,15 +90,11 @@ class SupervisionPolicy:
         all consume the same budget.
     max_restarts:
         Total worker respawns a farm may spend over its lifetime.
-    poll_interval:
-        Liveness-check tick in seconds: how often a waiting parent looks
-        at process liveness and task deadlines between pipe polls.
     """
 
     task_timeout: Optional[float] = None
     max_retries: int = 2
     max_restarts: int = 8
-    poll_interval: float = 0.2
 
     def __post_init__(self) -> None:
         if self.task_timeout is not None and self.task_timeout <= 0:
@@ -89,8 +103,6 @@ class SupervisionPolicy:
             raise ValueError("max_retries must be non-negative")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
 
     def deadline(self, tasks: int = 1) -> Optional[float]:
         """Absolute monotonic deadline for ``tasks`` queued tasks, or None."""
@@ -116,21 +128,80 @@ class RestartBudget:
         self.spent += 1
 
 
+def serve(conn, rank: int, make_handler: Callable[[], Callable]) -> None:
+    """Worker side of the farm protocol.
+
+    ``make_handler()`` builds the worker's state and returns
+    ``handle(message) -> tuple``.  The worker replies ``("ready",)`` once
+    it is built (``("error", traceback)`` if building fails), then answers
+    each message with ``("ok", *handle(message))`` — or ``("error",
+    traceback)`` when the handler raises, after which it keeps serving —
+    and exits on ``("close",)`` or EOF.
+    """
+    try:
+        fault_point("supervision.worker.start", rank=rank)
+        handle = make_handler()
+    except Exception:  # noqa: BLE001 - report the failure instead of dying mute
+        conn.send(("error", traceback.format_exc()))
+        conn.close()
+        return
+    conn.send(("ready",))
+    try:
+        while True:
+            message = conn.recv()
+            if message[0] == "close":
+                break
+            try:
+                reply = ("ok", *handle(message))
+            except Exception:  # noqa: BLE001 - ship the traceback to the parent
+                reply = ("error", traceback.format_exc())
+            conn.send(reply)
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass
+    finally:
+        try:
+            conn.close()
+        except OSError:
+            pass
+
+
 class SupervisedWorker:
     """One worker process + pipe, respawnable with identical start state.
 
-    ``spawn(rank)`` must start the process, complete the farm's start-up
-    handshake, and return ``(process, connection)`` — so a respawned
-    worker is indistinguishable from a fresh one (same pickled payload,
-    same shared buffers).  Spawn failures propagate to the caller.
+    The process runs ``target(conn, rank, *args)``, which must call
+    :func:`serve`; construction returns once the start-up handshake is
+    answered, and raises ``"{role} worker {rank} died during start-up"``
+    or ``"... failed to start"`` otherwise.  A respawn starts the same
+    ``target`` with the same ``args``, so the replacement is
+    indistinguishable from a fresh worker.
     """
 
-    def __init__(self, rank: int,
-                 spawn: Callable[[int], Tuple[object, object]]) -> None:
+    def __init__(self, rank: int, role: str, target: Callable,
+                 args: Sequence = ()) -> None:
         self.rank = rank
-        self._spawn = spawn
-        self.restarts = 0
-        self.process, self.conn = spawn(rank)
+        self.role = role
+        self._target = target
+        self._args = tuple(args)
+        self._start()
+
+    def _start(self) -> None:
+        self.conn, child_conn = CONTEXT.Pipe()
+        self.process = CONTEXT.Process(
+            target=self._target, args=(child_conn, self.rank, *self._args),
+            daemon=True)
+        self.process.start()
+        child_conn.close()
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError) as error:
+            self.reap()
+            raise RuntimeError(
+                f"{self.role} worker {self.rank} died during start-up "
+                f"({error!r})") from error
+        if reply[0] == "error":
+            self.reap()
+            raise RuntimeError(
+                f"{self.role} worker {self.rank} failed to start:\n{reply[1]}")
 
     # ------------------------------------------------------------------ #
     def alive(self) -> bool:
@@ -161,8 +232,7 @@ class SupervisedWorker:
         """
         return not self.alive() and not self.has_data()
 
-    def recv_within(self, deadline: Optional[float],
-                    poll_interval: float = 0.2):
+    def recv_within(self, deadline: Optional[float]):
         """Receive one reply, supervising liveness and the task deadline.
 
         Raises :class:`WorkerDied` when the process exits without
@@ -171,7 +241,7 @@ class SupervisedWorker:
         """
         while True:
             try:
-                if self.conn.poll(poll_interval):
+                if self.conn.poll(LIVENESS_TICK):
                     return self.conn.recv()
             except (EOFError, OSError) as error:
                 raise WorkerDied(
@@ -204,24 +274,37 @@ class SupervisedWorker:
         else:
             self.process.join(timeout=graceful_timeout)
 
-    def respawn(self) -> None:
-        """Reap the current process and start an identical replacement."""
+    def respawn(self, budget: RestartBudget, reason: str) -> None:
+        """Spend one restart of ``budget`` (raising
+        :class:`RestartBudgetExceeded` when it is gone), reap the current
+        process — a hung one is killed — and start an identical
+        replacement."""
+        budget.spend(reason)
         self.reap()
-        self.restarts += 1
-        self.process, self.conn = self._spawn(self.rank)
+        self._start()
 
-    def close(self, farewell=None, join_timeout: float = 5.0) -> None:
-        """Best-effort orderly shutdown (used by the farms' close paths)."""
-        if farewell is not None:
-            try:
-                self.conn.send(farewell)
-            except (OSError, ValueError):
-                pass
-        self.process.join(timeout=join_timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=1)
+    def close(self, join_timeout: float = 5.0) -> None:
+        """Orderly shutdown: send ``("close",)``, give the worker
+        ``join_timeout`` seconds to exit, then reap it."""
         try:
-            self.conn.close()
-        except OSError:
+            self.conn.send(("close",))
+        except (OSError, ValueError):
             pass
+        self.process.join(timeout=join_timeout)
+        self.reap()
+
+
+def start_farm(count: int, role: str, target: Callable,
+               args: Sequence = ()) -> List[SupervisedWorker]:
+    """Start workers ``0 .. count-1``; if one fails to start, reap the
+    ones already running and re-raise, so a failed start-up leaves no
+    orphan process behind."""
+    workers: List[SupervisedWorker] = []
+    try:
+        for rank in range(count):
+            workers.append(SupervisedWorker(rank, role, target, args))
+    except BaseException:
+        for worker in workers:
+            worker.reap()
+        raise
+    return workers

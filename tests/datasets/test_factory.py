@@ -291,6 +291,19 @@ class TestMerge:
             assert store_contents(merged) == \
                 store_contents(reference_store) * len(sources)
 
+    def test_merge_skips_units_identical_by_shard_hash(self, tmp_path,
+                                                       reference_store):
+        copy = str(tmp_path / "copy")
+        shutil.copytree(reference_store, copy)
+        merged = str(tmp_path / "merged")
+        status = merge_catalogs([reference_store, copy], merged,
+                                fit_normalizer=False)
+        assert status["samples_written"] == 12
+        assert store_contents(merged) == store_contents(reference_store)
+        with open(os.path.join(merged, MANIFEST_NAME)) as handle:
+            units = json.load(handle)["catalog"]["units"]
+        assert {unit["source"] for unit in units} == {reference_store}
+
     def test_merge_refuses_existing_store_and_plain_stores(self, tmp_path,
                                                            reference_store):
         with pytest.raises(ValueError, match="fresh directory"):

@@ -9,7 +9,6 @@ executions genuinely overlap, and proves exactly-once execution from the
 cross-process execution log."""
 
 import json
-import multiprocessing as mp
 import os
 import re
 import time
@@ -18,6 +17,7 @@ import pytest
 
 from repro.datasets import DatasetJobSpec, ShardedDatasetReader, run_job
 from repro.datasets.factory import _claim_file, _release_claim, _try_claim_unit
+from repro.supervision import CONTEXT
 from repro.testing.faults import ENV_EXEC_LOG, ENV_PLAN
 
 
@@ -109,9 +109,7 @@ class TestConcurrentResumes:
             [{"site": "factory.unit.start", "kind": "delay",
               "seconds": 0.25}]))
 
-        context = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        racers = [context.Process(target=_resume_run, args=(spec, path))
+        racers = [CONTEXT.Process(target=_resume_run, args=(spec, path))
                   for _ in range(2)]
         for racer in racers:
             racer.start()

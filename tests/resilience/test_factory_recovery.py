@@ -6,9 +6,11 @@ re-queues the unit; because unit content is a pure function of
 fault-free run's, with the extra executions visible in the catalog's
 per-unit ``attempts``.  A crash-looping farm exhausts its restart budget
 and raises — after flushing the catalog, so the store resumes from its
-last committed unit."""
+last committed unit.  So does a farm whose worker fails to start, which
+first reaps the workers already started."""
 
 import json
+import multiprocessing as mp
 import os
 
 import pytest
@@ -121,5 +123,25 @@ def test_crash_loop_exhausts_restart_budget_but_flushes_the_catalog(
 
     monkeypatch.delenv(ENV_PLAN)
     final = run_job(small_spec(), path, workers=1, resume=True)
+    assert final["complete"]
+    assert store_contents(path) == store_contents(reference_store)
+
+
+@pytest.mark.parametrize("kind,error", [("fail", "failed to start"),
+                                        ("die", "died during start-up")])
+def test_failed_worker_startup_leaves_no_child_and_resume_completes(
+        tmp_path, monkeypatch, reference_store, kind, error):
+    """Rank 1 fails to start: the run raises without leaving rank 0
+    running, and a fault-free resume produces the reference store."""
+    monkeypatch.setenv(ENV_PLAN, json.dumps(
+        [{"site": "supervision.worker.start", "kind": kind,
+          "match": {"rank": 1}}]))
+    path = str(tmp_path / "store")
+    with pytest.raises(RuntimeError, match=f"factory worker 1 {error}"):
+        run_job(small_spec(), path, workers=2)
+    assert mp.active_children() == []
+
+    monkeypatch.delenv(ENV_PLAN)
+    final = run_job(small_spec(), path, workers=2, resume=True)
     assert final["complete"]
     assert store_contents(path) == store_contents(reference_store)

@@ -4,10 +4,11 @@ The acceptance bar: a worker killed or hung mid-run is respawned, its
 in-flight work re-dispatched against the same shared parameters and
 batch, and the recovered run is **bit-identical** to a fault-free one —
 for a single gradient group and for a whole 2-worker training run.  Pool
-start-up failure degrades to the serial backend with a warning instead of
-failing the run."""
+start-up failure reaps the workers already started and degrades training
+to the serial backend with a warning instead of failing the run."""
 
 import json
+import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -141,6 +142,43 @@ def test_pool_startup_failure_falls_back_to_serial_with_warning(monkeypatch):
                         refuse_process_backend)
     with pytest.warns(RuntimeWarning, match="falling back to the serial"):
         degraded = _fit(samples, epochs=1)
+
+    assert degraded.history.train_loss == reference.history.train_loss
+    assert np.array_equal(degraded.model.parameters_vector(),
+                          reference.model.parameters_vector())
+
+
+#: Start-up fault kinds and the error each one raises for rank 1.
+STARTUP_FAULTS = {"fail": "failed to start", "die": "died during start-up"}
+
+
+def _fail_rank1_startup(monkeypatch, kind):
+    monkeypatch.setenv(ENV_PLAN, json.dumps(
+        [{"site": "supervision.worker.start", "kind": kind,
+          "match": {"rank": 1}}]))
+
+
+@pytest.mark.parametrize("kind", sorted(STARTUP_FAULTS))
+def test_failed_startup_reaps_the_workers_already_started(monkeypatch, kind):
+    """Rank 1 fails to start: the pool raises, and rank 0 — already up —
+    is reaped rather than left running as an orphan."""
+    _fail_rank1_startup(monkeypatch, kind)
+    with pytest.raises(RuntimeError,
+                       match=f"gradient worker 1 {STARTUP_FAULTS[kind]}"):
+        GradientWorkerPool(_toy_model(), num_workers=2)
+    assert mp.active_children() == []
+
+
+@pytest.mark.parametrize("kind", sorted(STARTUP_FAULTS))
+def test_fit_with_a_failed_worker_startup_trains_serially_bit_identically(
+        monkeypatch, kind):
+    samples = _toy_samples()
+    reference = _fit(samples, epochs=1, parallel_backend="serial")
+
+    _fail_rank1_startup(monkeypatch, kind)
+    with pytest.warns(RuntimeWarning, match="falling back to the serial"):
+        degraded = _fit(samples, epochs=1)
+    assert mp.active_children() == []
 
     assert degraded.history.train_loss == reference.history.train_loss
     assert np.array_equal(degraded.model.parameters_vector(),

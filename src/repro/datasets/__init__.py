@@ -13,10 +13,10 @@ produce samples:
 
 :mod:`repro.datasets.tensorize` converts samples into the index/feature
 arrays the RouteNet models consume, and :mod:`repro.datasets.storage`
-persists datasets to disk — either as one gzipped JSON blob (format 1) or
-as a :mod:`sharded <repro.datasets.sharded>` store of binary npz shards
-(format 3) that :mod:`repro.datasets.prefetch` streams batches out of for
-out-of-core training.
+persists datasets to disk as a :mod:`sharded <repro.datasets.sharded>`
+store of binary npz shards (format 3) that :mod:`repro.datasets.prefetch`
+streams batches out of for out-of-core training; the older gzipped JSON
+blob (format 1) and JSONL store (format 2) are still read.
 """
 
 from repro.datasets.sample import Sample

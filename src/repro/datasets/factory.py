@@ -1,10 +1,11 @@
 """Dataset factory: job-spec-driven, resumable, multi-process generation.
 
-The monolithic ``DatasetGenerator.iter_samples`` loop generates one sample
-at a time from one config — fine for benchmarks, hopeless for the
-million-scenario sweeps the ROADMAP calls for now that the trainer is an
-order of magnitude faster than the simulator feeding it.  This module
-refactors generation into four layers:
+The in-memory ``DatasetGenerator.generate`` loop produces one sample at a
+time from one config — fine for tests and benchmarks, hopeless for
+million-scenario sweeps now that the trainer is an order of magnitude
+faster than the simulator feeding it.  The factory is the one path that
+writes generated datasets to disk (``repro-net generate`` always runs it),
+in four layers:
 
 **Job spec** — :class:`DatasetJobSpec` declares a sweep: topologies ×
 :class:`~repro.datasets.generator.DatasetConfig` axes × a sample budget
@@ -12,9 +13,9 @@ per scenario.  :func:`expand_units` expands it *deterministically* into
 shard-sized :class:`WorkUnit`\\ s.  Each unit draws from its own derived
 RNG stream ``np.random.default_rng([job_seed, unit_index])``, so a unit's
 output depends only on the spec and its index — never on which worker ran
-it, in what order, or how many workers there were.  (This is the one
-seed-semantics difference from the legacy serial loop, which threads a
-single RNG through every sample.)
+it, in what order, or how many workers there were.  (``DatasetGenerator.
+generate`` instead threads one RNG through every sample, so the two give
+different samples for the same seed.)
 
 **Execution** — :func:`run_job` executes the pending units, either
 in-process or on a farm of worker processes (the supervised worker
@@ -36,8 +37,8 @@ The ``shards`` index lists completed units in unit order, so any
 whole training stack — reads a factory store unchanged, with a
 deterministic sample order regardless of worker count.
 
-**CLI** — ``repro-net generate --workers N --resume`` drives
-:func:`run_job` and ``repro-net status`` prints :func:`job_status`.
+**CLI** — ``repro-net generate`` drives :func:`run_job` and
+``repro-net status`` prints :func:`job_status`.
 
 **Fault tolerance** — the farm is supervised (see :mod:`repro.supervision`):
 a worker that fails to start makes the run raise once the workers already

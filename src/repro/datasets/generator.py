@@ -11,7 +11,7 @@ simulation) for the per-path delays.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -114,23 +114,15 @@ class DatasetGenerator:
                 mean_packet_size_bits=self.config.mean_packet_size_bits)
 
     # ------------------------------------------------------------------ #
-    def generate(self, progress: Optional[Callable[[int, int], None]] = None) -> List[Sample]:
-        """Generate ``config.num_samples`` samples."""
-        return list(self.iter_samples(progress=progress))
+    def generate(self) -> List[Sample]:
+        """Generate ``config.num_samples`` samples.
 
-    def iter_samples(self, progress: Optional[Callable[[int, int], None]] = None
-                     ) -> Iterator[Sample]:
-        """Yield ``config.num_samples`` samples one at a time.
-
-        The lazy core of :meth:`generate`: nothing is retained between
-        samples, so a sweep can be streamed (e.g. into ``save_dataset``)
-        without the list ever existing.
+        One RNG seeded with ``config.seed`` is threaded through every
+        :meth:`generate_one` call, so the sweep is reproducible sample for
+        sample.
         """
         rng = np.random.default_rng(self.config.seed)
-        for index in range(self.config.num_samples):
-            yield self.generate_one(rng)
-            if progress is not None:
-                progress(index + 1, self.config.num_samples)
+        return [self.generate_one(rng) for _ in range(self.config.num_samples)]
 
     def generate_one(self, rng: np.random.Generator) -> Sample:
         """Generate a single sample using the provided random generator."""
@@ -163,9 +155,8 @@ class DatasetGenerator:
         return sample
 
 
-def generate_dataset(base_topology: Topology, config: Optional[DatasetConfig] = None,
-                     progress: Optional[Callable[[int, int], None]] = None
-                     ) -> List[Sample]:
+def generate_dataset(base_topology: Topology,
+                     config: Optional[DatasetConfig] = None) -> List[Sample]:
     """Convenience wrapper around :class:`DatasetGenerator`: the list of
     generated samples."""
-    return DatasetGenerator(base_topology, config).generate(progress=progress)
+    return DatasetGenerator(base_topology, config).generate()

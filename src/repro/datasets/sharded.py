@@ -1,8 +1,8 @@
 """Sharded on-disk dataset store: binary npz shards plus a manifest.
 
 Formats 2 and 3 of the dataset storage layer (format 1 is the single
-``.json.gz`` blob of :mod:`repro.datasets.storage`).  A sharded store is a
-*directory*::
+``.json.gz`` blob that :mod:`repro.datasets.storage` still reads).  A
+sharded store is a *directory*::
 
     store/
       manifest.json          <- format_version 3, shard index, normalizer

@@ -1,15 +1,12 @@
 """Persisting datasets (samples plus their normaliser) to disk.
 
-Two formats share this entry point:
+:func:`save_dataset` writes one format: a **format-3** sharded store
+directory (see :mod:`repro.datasets.sharded`) of binary npz shards plus a
+manifest.  :func:`load_dataset` reads it and the two retired formats,
+which are no longer written:
 
 * **format 1** — one gzipped JSON file (``.json.gz``) holding every sample;
-  the historical format, still read and written.
-* **format 3** — a sharded store directory (see
-  :mod:`repro.datasets.sharded`) of binary npz shards plus a manifest,
-  written by ``save_dataset(..., shards=N)``.
-
-:func:`load_dataset` transparently reads either, and format-2 stores
-(gzipped-JSONL shards), which are no longer written.
+* **format 2** — a sharded store of gzipped-JSONL shards.
 """
 
 from __future__ import annotations
@@ -43,19 +40,24 @@ def _remove_quietly(path: str) -> None:
         pass
 
 
-def _save_sharded(samples: Iterable[Sample], path: str, shards: int,
-                  normalizer: Optional[FeatureNormalizer],
-                  metadata: Optional[dict]) -> str:
-    """Write ``samples`` as a format-3 store of ``shards`` shard files.
+def save_dataset(samples: Iterable[Sample], path: str,
+                 normalizer: Optional[FeatureNormalizer] = None,
+                 metadata: Optional[dict] = None,
+                 shards: int = 1) -> str:
+    """Write ``samples`` (and optionally their normaliser) as a format-3
+    store directory at ``path`` spread over ``shards`` shard files.
 
-    Shards are written one chunk at a time through :func:`write_shard`, and
-    the manifest — written last — is the commit point.  Rewriting an
-    existing store is atomic at the manifest: the new shards get a fresh
+    Shards are written one chunk at a time through :func:`write_shard`, so
+    at most one shard's worth of samples is held at a time, and the
+    manifest — written last — is the commit point.  Rewriting an existing
+    store is atomic at the manifest: the new shards get a fresh
     ``shard-<token>-`` name prefix so they never collide with a shard the
     live manifest references, and the superseded files are deleted only
     after the new manifest lands.  A failure removes every file this call
     wrote (and the directory, when it created it), so it leaves the old
     store — or nothing — behind.
+
+    Returns the path written.
     """
     # Spreading over exactly N shards needs the sample count up front;
     # sized inputs (lists, readers) are used as-is, only unsized iterators
@@ -95,55 +97,6 @@ def _save_sharded(samples: Iterable[Sample], path: str, shards: int,
     return path
 
 
-def save_dataset(samples: Iterable[Sample], path: str,
-                 normalizer: Optional[FeatureNormalizer] = None,
-                 metadata: Optional[dict] = None,
-                 shards: Optional[int] = None) -> str:
-    """Write samples (and optionally their normaliser) to disk.
-
-    With ``shards=None`` (default) this writes the format-1 single
-    ``.json.gz`` file (suffix appended when missing).  Sample dicts are
-    streamed to the gzip handle one at a time — the full serialised payload
-    never exists in memory — and the file is written to a temporary name
-    and :func:`os.replace`-d into place, so a crashed save never leaves a
-    truncated dataset where a good one used to be (the same atomic-write
-    contract as the trainer's ``save_checkpoint``).
-
-    With ``shards=N`` the samples are spread over a format-3 sharded store
-    directory at ``path`` (no suffix), which :func:`load_dataset` and the
-    streaming training path both read; at most one shard's worth of
-    samples is held at a time.
-
-    Returns the path written.
-    """
-    if shards is not None:
-        return _save_sharded(samples, path, shards, normalizer, metadata)
-
-    if not path.endswith(".json.gz"):
-        path = path + ".json.gz"
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    temporary = path + ".tmp"
-    try:
-        with gzip.open(temporary, "wt", encoding="utf-8") as handle:
-            handle.write('{"format_version": 1, "metadata": ')
-            json.dump(metadata or {}, handle)
-            handle.write(', "normalizer": ')
-            json.dump(normalizer.to_dict() if normalizer is not None else None,
-                      handle)
-            handle.write(', "samples": [')
-            for index, sample in enumerate(samples):
-                if index:
-                    handle.write(", ")
-                json.dump(sample.to_dict(), handle)
-            handle.write("]}")
-    except BaseException:
-        # Never leave a half-written temp file behind a failed save.
-        _remove_quietly(temporary)
-        raise
-    os.replace(temporary, path)
-    return path
-
-
 def _resolve_dataset_path(path: str) -> str:
     """The existing dataset path: the exact path first, then ``.json.gz``.
 
@@ -171,7 +124,7 @@ def _resolve_dataset_path(path: str) -> str:
 
 
 def load_dataset(path: str) -> Tuple[List[Sample], Optional[FeatureNormalizer], dict]:
-    """Load a dataset written by :func:`save_dataset` (either format).
+    """Load a dataset: a format-3 or format-2 store, or a format-1 file.
 
     Returns ``(samples, normalizer_or_None, metadata)``.  Sharded stores
     are materialised in full here — for out-of-core training iterate a

@@ -380,9 +380,8 @@ class RouteNetTrainer:
                 raise ValueError(
                     f"'{dataset_path}' is not a sharded dataset store; "
                     "out-of-core training streams shards — write one with "
-                    "save_dataset(..., shards=N) or 'repro-net generate "
-                    "--unit-size', or load_dataset() it and pass "
-                    "train_samples instead")
+                    "save_dataset() or 'repro-net generate', or "
+                    "load_dataset() it and pass train_samples instead")
             reader = ShardedDatasetReader(dataset_path)
             samples_per_epoch = len(reader)
             if samples_per_epoch == 0:

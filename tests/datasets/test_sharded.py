@@ -1,5 +1,5 @@
-"""Tests for the sharded dataset store (format 3 written, formats 2 and 3
-read) and the storage-layer satellites: streamed atomic saves,
+"""Tests for the sharded dataset store (format 3 written, formats 1, 2 and
+3 read) and the storage-layer satellites: streamed atomic saves,
 format-version validation and suffix-tolerant loading."""
 
 import gzip
@@ -28,6 +28,7 @@ from repro.datasets.sharded import (
 from repro.testing import faults
 from repro.testing.faults import ENV_PLAN
 from repro.topology import ring_topology
+from tests.format1 import write_format1_file
 from tests.format2 import write_format2_store
 
 
@@ -295,24 +296,24 @@ class TestStorageIntegration:
         assert "7" in message and "format 1" in message
         assert "format 2" in message and "format 3" in message
 
-    def test_format1_save_accepts_a_generator(self, tmp_path, samples):
-        path = save_dataset((s for s in samples), str(tmp_path / "gen"))
+    def test_save_accepts_a_generator(self, tmp_path, samples):
+        """An unsized iterator is buffered, then spread over the shards."""
+        path = save_dataset((s for s in samples), str(tmp_path / "gen"),
+                            shards=2)
+        assert ShardedDatasetReader(path).num_shards == 2
         loaded, _, _ = load_dataset(path)
-        assert len(loaded) == len(samples)
-        np.testing.assert_allclose(loaded[0].delays, samples[0].delays)
+        assert_bit_exact(samples, loaded)
 
-    def test_format1_payload_unchanged(self, tmp_path, samples, normalizer):
-        """The streamed writer must produce the exact format-1 schema."""
-        path = save_dataset(samples[:2], str(tmp_path / "fmt1"),
-                            normalizer=normalizer, metadata={"a": "b"})
-        with gzip.open(path, "rt") as handle:
-            payload = json.load(handle)
-        assert payload["format_version"] == 1
-        assert payload["metadata"] == {"a": "b"}
-        assert payload["normalizer"] == normalizer.to_dict()
-        assert len(payload["samples"]) == 2
+    def test_format1_file_round_trips(self, tmp_path, samples, normalizer):
+        """A format-1 file (no longer written) still loads bit-exactly."""
+        path = write_format1_file(samples, str(tmp_path / "fmt1.json.gz"),
+                                  normalizer=normalizer, metadata={"a": "b"})
+        loaded, loaded_normalizer, metadata = load_dataset(path)
+        assert metadata == {"a": "b"}
+        assert loaded_normalizer.means == normalizer.means
+        assert_bit_exact(samples, loaded)
 
-    @pytest.mark.parametrize("shards", [None, 2], ids=["format1", "sharded"])
+    @pytest.mark.parametrize("shards", [1, 2], ids=["one-shard", "sharded"])
     def test_failed_save_leaves_nothing_behind(self, tmp_path, samples, shards):
         class Exploding:
             def __len__(self):
@@ -326,8 +327,8 @@ class TestStorageIntegration:
         with pytest.raises(RuntimeError, match="boom"):
             save_dataset(Exploding(), target, shards=shards)
         assert os.listdir(tmp_path) == []  # no dataset, no .tmp residue
-        # A manifest (or header) that fails to serialise after the samples
-        # were written leaves nothing either.
+        # A manifest that fails to serialise after the samples were written
+        # leaves nothing either.
         with pytest.raises(TypeError):
             save_dataset(samples, target, shards=shards,
                          metadata={"n": np.int64(3)})
@@ -336,7 +337,8 @@ class TestStorageIntegration:
     def test_load_checks_exact_path_before_suffixing(self, tmp_path, samples):
         # A dataset deliberately saved under a suffix-less name must load by
         # its exact path instead of erroring about '<name>.json.gz'.
-        canonical = save_dataset(samples[:2], str(tmp_path / "named"))
+        canonical = write_format1_file(samples[:2],
+                                       str(tmp_path / "named.json.gz"))
         bare = str(tmp_path / "bare")
         os.replace(canonical, bare)
         loaded, _, _ = load_dataset(bare)
@@ -359,7 +361,7 @@ class TestStorageIntegration:
                                                                   samples):
         """The residue of an aborted sharded write (a directory with no
         manifest) must not shadow a good '<path>.json.gz' next to it."""
-        save_dataset(samples[:2], str(tmp_path / "data"))
+        write_format1_file(samples[:2], str(tmp_path / "data.json.gz"))
         (tmp_path / "data").mkdir()  # aborted-write residue
         loaded, _, _ = load_dataset(str(tmp_path / "data"))
         assert len(loaded) == 2

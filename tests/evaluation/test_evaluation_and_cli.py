@@ -1,6 +1,7 @@
 """Tests for the evaluation helpers (error CDFs, reports) and the CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -140,3 +141,27 @@ class TestCLI:
         dataset_path = str(tmp_path / "random-dataset")
         assert main(["generate", "--topology", "random", "--random-nodes", "8",
                      "--samples", "2", "--output", dataset_path]) == 0
+
+    def test_generate_store_is_identical_for_every_worker_count(self, tmp_path):
+        """``generate`` writes the same store at --workers 1 and 2, past the
+        first 32-sample unit too: identical shard bytes, equal contents."""
+        stores = {}
+        for workers in ("1", "2"):
+            stores[workers] = str(tmp_path / f"w{workers}")
+            assert main(["generate", "--topology", "nsfnet", "--samples", "36",
+                         "--seed", "5", "--workers", workers,
+                         "--output", stores[workers]]) == 0
+        shards = sorted(name for name in os.listdir(stores["1"])
+                        if name.startswith("unit-") and name.endswith(".npz"))
+        assert len(shards) == 2
+        assert shards == sorted(name for name in os.listdir(stores["2"])
+                                if name.startswith("unit-") and name.endswith(".npz"))
+        for name in shards:
+            with open(os.path.join(stores["1"], name), "rb") as one, \
+                    open(os.path.join(stores["2"], name), "rb") as two:
+                assert one.read() == two.read(), name
+        (serial, serial_normalizer, _), (farmed, farmed_normalizer, _) = (
+            load_dataset(stores["1"]), load_dataset(stores["2"]))
+        assert len(serial) == 36
+        assert [s.to_dict() for s in serial] == [s.to_dict() for s in farmed]
+        assert serial_normalizer.to_dict() == farmed_normalizer.to_dict()
